@@ -45,16 +45,20 @@ corrupt:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestCorruptionMatrix|TestSalvageAccounting|TestFormatGenerations|TestStatReportsGenerations' -v ./internal/etrace
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestChaosCorrupt|TestChaosENOSPC|TestChaosTornTail' -v .
 
-# Short fuzzing budgets for the text/binary-format parsers: the
+# Short fuzzing budgets for the text/binary-format parsers — the
 # event-trace decoder, the salvage replay paths, the indexed parallel
 # replay pipeline, the JSON profile envelope and the cache-geometry
-# grammar.  None may panic on any input.
+# grammar, none of which may panic on any input — and for the two
+# equivalence oracles: the block engine against the reference stepper,
+# and the dense QUAD tool against its map-based original.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzSalvage -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzIndex -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 10s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzCacheConfig -fuzztime 10s ./internal/memsim
+	$(GO) test -run xxx -fuzz FuzzBlockEngineEquivalence -fuzztime 10s ./internal/vm
+	$(GO) test -run xxx -fuzz FuzzQUADEquivalence -fuzztime 10s ./internal/quad
 
 # One pass over every table/figure benchmark, the obs on/off pair, the
 # cache-geometry sweep and the simulator hot path.

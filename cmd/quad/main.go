@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -64,13 +65,12 @@ func main() {
 			return
 		}
 		fh, err := os.Create(*jsonFile)
+		if err == nil {
+			err = writeJSON(*jsonFile, fh, rep)
+		}
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("-json: %v", err)
 		}
-		if err := trace.SaveQUAD(fh, rep); err != nil {
-			log.Fatal(err)
-		}
-		fh.Close()
 	}
 
 	switch *stack {
@@ -107,4 +107,22 @@ func writeDot(rep *quad.Report, path string, minBytes uint64) {
 		log.Fatalf("write %s: %v", path, err)
 	}
 	fmt.Printf("QDU graph written to %s\n", path)
+}
+
+// writeJSON writes rep to w, the freshly created file at path, and closes
+// it.  A failed write or Close (where a deferred write error surfaces)
+// removes the partial file, so a truncated report never passes for a
+// complete one; a non-regular path such as /dev/stdout is left alone.
+func writeJSON(path string, w io.WriteCloser, rep *quad.Report) error {
+	err := trace.SaveQUAD(w, rep)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		if fi, serr := os.Lstat(path); serr == nil && fi.Mode().IsRegular() {
+			os.Remove(path)
+		}
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return nil
 }

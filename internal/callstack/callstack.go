@@ -8,6 +8,11 @@
 // fed by the EnterFC/Return analysis events and able to exclude
 // OS/library routines from attribution, as tQUAAD's command-line option
 // allows.
+//
+// The stack is also where routine identity is decided for every tool:
+// OnCall interns each routine name to a dense id once and carries it on
+// Frame.ID, so the per-access analysis paths index their per-kernel
+// tables by an integer instead of hashing a name.
 package callstack
 
 import "fmt"
@@ -17,6 +22,23 @@ type Frame struct {
 	Name   string
 	Entry  uint64
 	InMain bool
+	// ID is the routine's dense id within this Stack: 1, 2, ... in order
+	// of first call, the same for every frame with the same Name.  Id 0
+	// (NoID) is never assigned, so tools may reserve it.
+	ID uint16
+}
+
+// NoID is the id no routine receives.
+const NoID uint16 = 0
+
+// MaxIDs bounds the distinct routines one Stack can name.
+const MaxIDs = 1 << 16
+
+// routine is the resolved identity of one call target.
+type routine struct {
+	name   string
+	inMain bool
+	id     uint16
 }
 
 // Resolver maps a callee entry address to its routine identity.  The ok
@@ -29,11 +51,21 @@ type Stack struct {
 	resolver    Resolver
 	excludeLibs bool
 
+	// targets memoises each call target's resolution, so the resolver
+	// and the name interning run once per distinct target.
+	targets map[uint64]routine
+	ids     map[string]uint16
+
 	frames   []Frame
 	libDepth int // depth of excluded (library) frames above the top kernel
 
 	// MaxDepth records the deepest stack observed, for diagnostics.
 	MaxDepth int
+
+	// Stacks of tools replaying in parallel are allocated back to back
+	// and written on every call and return; the pad keeps one stack's
+	// fields off the cache lines of the next.
+	_ [64]byte
 }
 
 // New creates a stack.  When excludeLibs is set, routines outside the
@@ -42,17 +74,42 @@ type Stack struct {
 // "exclusion of memory bandwidth usage data caused by OS and library
 // routine calls" option behaves.
 func New(resolver Resolver, excludeLibs bool) *Stack {
-	return &Stack{resolver: resolver, excludeLibs: excludeLibs}
+	return &Stack{
+		resolver:    resolver,
+		excludeLibs: excludeLibs,
+		targets:     make(map[uint64]routine),
+		ids:         make(map[string]uint16),
+	}
+}
+
+// resolve returns the routine at target, interning its name on first
+// sight.  It panics once MaxIDs-1 distinct names have been handed out.
+func (s *Stack) resolve(target uint64) routine {
+	if r, ok := s.targets[target]; ok {
+		return r
+	}
+	name, inMain, ok := s.resolver(target)
+	if !ok {
+		name, inMain = fmt.Sprintf("sub_%x", target), false
+	}
+	id, ok := s.ids[name]
+	if !ok {
+		if len(s.ids) == MaxIDs-1 {
+			panic(fmt.Sprintf("callstack: more than %d distinct routines", MaxIDs-1))
+		}
+		id = uint16(len(s.ids) + 1)
+		s.ids[name] = id
+	}
+	r := routine{name: name, inMain: inMain, id: id}
+	s.targets[target] = r
+	return r
 }
 
 // OnCall records a function call to the given entry address (the EnterFC
 // analysis routine).
 func (s *Stack) OnCall(target uint64) {
-	name, inMain, ok := s.resolver(target)
-	if !ok {
-		name, inMain = fmt.Sprintf("sub_%x", target), false
-	}
-	if s.excludeLibs && !inMain {
+	r := s.resolve(target)
+	if s.excludeLibs && !r.inMain {
 		s.libDepth++
 		return
 	}
@@ -62,7 +119,7 @@ func (s *Stack) OnCall(target uint64) {
 		s.libDepth++
 		return
 	}
-	s.frames = append(s.frames, Frame{Name: name, Entry: target, InMain: inMain})
+	s.frames = append(s.frames, Frame{Name: r.name, Entry: target, InMain: r.inMain, ID: r.id})
 	if len(s.frames) > s.MaxDepth {
 		s.MaxDepth = len(s.frames)
 	}

@@ -166,3 +166,83 @@ func TestDepthInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameIDsAreDenseAndNameKeyed: ids start at 1 in first-call order,
+// every frame of one routine carries the same id, two targets that
+// resolve to the same name share it, and anonymous targets get their own.
+func TestFrameIDsAreDenseAndNameKeyed(t *testing.T) {
+	alias := func(target uint64) (string, bool, bool) {
+		if target == 0x208 { // a second entry into "work"
+			return "work", true, true
+		}
+		return testResolver(target)
+	}
+	s := callstack.New(alias, false)
+	id := func(target uint64) uint16 {
+		t.Helper()
+		s.OnCall(target)
+		fr, ok := s.Current()
+		if !ok {
+			t.Fatalf("call %#x: no frame", target)
+		}
+		s.OnReturn()
+		return fr.ID
+	}
+	seq := []struct {
+		target uint64
+		want   uint16
+	}{
+		{0x100, 1}, {0x200, 2}, {0x100, 1}, {0x208, 2}, {0xdead, 3}, {0x900, 4}, {0xbeef, 5}, {0xdead, 3},
+	}
+	for _, c := range seq {
+		if got := id(c.target); got != c.want {
+			t.Errorf("call %#x: ID = %d, want %d", c.target, got, c.want)
+		}
+	}
+	for _, fr := range s.Frames() {
+		if fr.ID == callstack.NoID {
+			t.Errorf("frame %s has the reserved id", fr.Name)
+		}
+	}
+}
+
+// TestFrameIDsUnderExclusion: routines skipped by library exclusion do
+// not disturb the ids of the frames that are pushed.
+func TestFrameIDsUnderExclusion(t *testing.T) {
+	s := callstack.New(testResolver, true)
+	s.OnCall(0x100)
+	s.OnCall(0x900) // excluded
+	s.OnReturn()
+	s.OnCall(0x200)
+	fr, ok := s.Current()
+	if !ok || fr.Name != "work" || fr.ID == callstack.NoID {
+		t.Fatalf("frame after excluded call = %+v/%v", fr, ok)
+	}
+	s.OnReturn()
+	s.OnCall(0x200)
+	if again, _ := s.Current(); again.ID != fr.ID {
+		t.Fatalf("work re-entered with id %d, first id %d", again.ID, fr.ID)
+	}
+}
+
+// TestIDSpaceExhaustion: the last id handed out is MaxIDs-1; one more
+// distinct routine is a loud failure, not a wrapped id aliasing NoID.
+func TestIDSpaceExhaustion(t *testing.T) {
+	s := callstack.New(func(target uint64) (string, bool, bool) {
+		return fmt.Sprintf("r%d", target), true, true
+	}, false)
+	for tgt := uint64(1); tgt < callstack.MaxIDs; tgt++ {
+		s.OnCall(tgt)
+		s.OnReturn()
+	}
+	s.OnCall(callstack.MaxIDs - 1)
+	if fr, _ := s.Current(); fr.ID != callstack.MaxIDs-1 {
+		t.Fatalf("last id = %d, want %d", fr.ID, callstack.MaxIDs-1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("routine %d got an id", callstack.MaxIDs)
+		}
+	}()
+	s.OnCall(callstack.MaxIDs)
+}

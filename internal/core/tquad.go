@@ -146,17 +146,11 @@ type Tool struct {
 	host  pin.Host
 	stack *callstack.Stack
 
-	series []*kernelSeries
-	ids    map[string]uint16
-	// One-entry memo over ids: consecutive events overwhelmingly belong
-	// to the same kernel (the name string is the same frame's, so the
-	// comparison is usually a pointer-equal fast path), turning the
-	// per-event string-map lookup into a compare.  lastName is "" until
-	// the first lookup; "" is never a kernel name (anonymous routines
-	// get sub_%x names).
-	lastName string
-	lastID   uint16
-	ref      *mapAccum // non-nil only with Options.UseMapAccum
+	// series is indexed by callstack Frame.ID; a kernel's entry is
+	// created on its first attributed event (nil until then).
+	series  []*kernelSeries
+	kernels uint64    // entries created in series
+	ref     *mapAccum // non-nil only with Options.UseMapAccum
 	// curSlice is the slice the instruction clock currently lies in and
 	// sliceEnd its exclusive upper bound in instructions: the per-event
 	// slice-boundary check is one compare against sliceEnd, and the
@@ -174,6 +168,11 @@ type Tool struct {
 	TraceCalls    uint64 // full tracing path
 	SkipCalls     uint64 // early-discard path (no kernel, or stack access excluded)
 	PrefetchCalls uint64 // prefetch fast path ("return immediately")
+
+	// Tools replaying in parallel are allocated back to back and written
+	// on every event; the pad keeps one tool's fields off the cache lines
+	// of the next.
+	_ [64]byte
 }
 
 // Attach wires a tQUAD tool onto the host — a live pin.Engine or a
@@ -183,8 +182,6 @@ func Attach(h pin.Host, opts Options) *Tool {
 	t := &Tool{
 		opts:     opts,
 		host:     h,
-		series:   []*kernelSeries{nil}, // id 0 reserved
-		ids:      make(map[string]uint16),
 		sliceEnd: opts.SliceInterval,
 	}
 	if opts.UseMapAccum {
@@ -202,18 +199,19 @@ func Attach(h pin.Host, opts Options) *Tool {
 	return t
 }
 
-func (t *Tool) kernelID(name string) uint16 {
-	if name == t.lastName && name != "" {
-		return t.lastID
+// seriesOf returns the frame's kernel series, creating it on first use.
+func (t *Tool) seriesOf(fr *callstack.Frame) *kernelSeries {
+	if int(fr.ID) < len(t.series) {
+		if ks := t.series[fr.ID]; ks != nil {
+			return ks
+		}
+	} else {
+		t.series = append(t.series, make([]*kernelSeries, int(fr.ID)+1-len(t.series))...)
 	}
-	id, ok := t.ids[name]
-	if !ok {
-		id = uint16(len(t.series))
-		t.ids[name] = id
-		t.series = append(t.series, &kernelSeries{name: name})
-	}
-	t.lastName, t.lastID = name, id
-	return id
+	ks := &kernelSeries{name: fr.Name}
+	t.series[fr.ID] = ks
+	t.kernels++
+	return ks
 }
 
 // numKernels returns the number of kernels observed so far.
@@ -221,7 +219,7 @@ func (t *Tool) numKernels() uint64 {
 	if t.ref != nil {
 		return uint64(len(t.ref.ids))
 	}
-	return uint64(len(t.ids))
+	return t.kernels
 }
 
 // instruction is the Instruction() instrumentation routine: it sets up
@@ -296,7 +294,7 @@ func (t *Tool) account(ctx *pin.Context, isRead, isStack bool) {
 		if ic >= t.sliceEnd {
 			slice = ic / t.opts.SliceInterval
 		}
-		t.chargeInstr(fr.Name, slice, delta)
+		t.chargeInstr(&fr, slice, delta)
 		return
 	}
 	t.TraceCalls++
@@ -311,7 +309,7 @@ func (t *Tool) account(ctx *pin.Context, isRead, isStack bool) {
 		t.ref.add(fr.Name, t.curSlice, delta, size, isRead, isStack)
 		return
 	}
-	pt := t.series[t.kernelID(fr.Name)].at(t.curSlice)
+	pt := t.seriesOf(&fr).at(t.curSlice)
 	pt.Instr += delta
 	if isRead {
 		pt.ReadIncl += size
@@ -328,15 +326,15 @@ func (t *Tool) account(ctx *pin.Context, isRead, isStack bool) {
 
 // chargeInstr attributes instruction time to a kernel's slice without any
 // byte traffic (the early-discarded-access path).
-func (t *Tool) chargeInstr(name string, slice, delta uint64) {
+func (t *Tool) chargeInstr(fr *callstack.Frame, slice, delta uint64) {
 	if delta == 0 {
 		return
 	}
 	if t.ref != nil {
-		t.ref.add(name, slice, delta, 0, false, true)
+		t.ref.add(fr.Name, slice, delta, 0, false, true)
 		return
 	}
-	t.series[t.kernelID(name)].at(slice).Instr += delta
+	t.seriesOf(fr).at(slice).Instr += delta
 }
 
 // KernelProfile is the finished temporal record of one kernel.
@@ -486,8 +484,10 @@ func (t *Tool) assemble() []*KernelProfile {
 		return t.ref.kernels()
 	}
 	var out []*KernelProfile
-	for id := 1; id < len(t.series); id++ {
-		ks := t.series[id]
+	for _, ks := range t.series {
+		if ks == nil {
+			continue
+		}
 		// The dense series is sorted by construction (the slice index
 		// derives from the monotonic instruction clock).
 		kp := &KernelProfile{Name: ks.name, Points: append([]SlicePoint(nil), ks.points...)}

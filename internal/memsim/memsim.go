@@ -199,11 +199,11 @@ type Tool struct {
 	lineShift uint
 	rowShift  uint
 
+	// series is indexed by callstack Frame.ID, with the reserved
+	// callstack.NoID slot holding the Outside pool; an entry is created on
+	// its first attributed access (nil until then).
 	series []*kernelSeries
-	ids    map[string]uint16
-	curKey string        // last attributed kernel name
-	curKS  *kernelSeries // its series
-	pt     *SlicePoint   // accounting point of the in-flight access
+	pt     *SlicePoint // accounting point of the in-flight access
 
 	curSlice uint64
 	sliceEnd uint64
@@ -212,6 +212,11 @@ type Tool struct {
 	Accesses      uint64 // traced access events simulated
 	PrefetchSkips uint64 // prefetch events skipped
 	MemCost       uint64 // modelled DRAM cost (instruction-equivalents), not charged to the clock
+
+	// Tools replaying in parallel are allocated back to back and written
+	// on every access; the pad keeps one tool's fields off the cache
+	// lines of the next.
+	_ [64]byte
 }
 
 // Attach wires a simulator onto the host — a live pin.Engine or an
@@ -231,8 +236,7 @@ func Attach(h pin.Host, opts Options) (*Tool, error) {
 		host:     h,
 		nlev:     len(opts.Config.Levels),
 		lineSize: uint64(opts.Config.LineSize()),
-		series:   []*kernelSeries{nil}, // id 0 reserved
-		ids:      make(map[string]uint16),
+		series:   []*kernelSeries{nil},
 		sliceEnd: opts.SliceInterval,
 	}
 	for i, lc := range opts.Config.Levels {
@@ -293,11 +297,11 @@ func (t *Tool) access(ctx *pin.Context, write bool) {
 		t.curSlice = ic / t.opts.SliceInterval
 		t.sliceEnd = (t.curSlice + 1) * t.opts.SliceInterval
 	}
-	name := Outside
+	id, name := callstack.NoID, Outside
 	if fr, ok := t.stack.Current(); ok {
-		name = fr.Name
+		id, name = fr.ID, fr.Name
 	}
-	t.pt = t.seriesFor(name).at(t.curSlice)
+	t.pt = t.seriesFor(id, name).at(t.curSlice)
 
 	addr := ctx.Addr
 	la := addr >> t.lineShift
@@ -308,21 +312,19 @@ func (t *Tool) access(ctx *pin.Context, write bool) {
 	}
 }
 
-// seriesFor resolves the kernel's series, caching the previous
-// resolution so back-to-back accesses from the same kernel — the
-// overwhelmingly common case — skip the map.
-func (t *Tool) seriesFor(name string) *kernelSeries {
-	if t.curKS != nil && t.curKey == name {
-		return t.curKS
+// seriesFor returns kernel id's series, creating it (under name) on
+// first use.
+func (t *Tool) seriesFor(id uint16, name string) *kernelSeries {
+	if int(id) < len(t.series) {
+		if ks := t.series[id]; ks != nil {
+			return ks
+		}
+	} else {
+		t.series = append(t.series, make([]*kernelSeries, int(id)+1-len(t.series))...)
 	}
-	id, ok := t.ids[name]
-	if !ok {
-		id = uint16(len(t.series))
-		t.ids[name] = id
-		t.series = append(t.series, &kernelSeries{name: name})
-	}
-	t.curKey, t.curKS = name, t.series[id]
-	return t.curKS
+	ks := &kernelSeries{name: name}
+	t.series[id] = ks
+	return ks
 }
 
 // fetch ensures la is present at level i, recursing outward on a miss
@@ -520,8 +522,10 @@ func (t *Tool) Snapshot() *Profile {
 			Evictions: lv.Evictions, Writebacks: lv.Writebacks,
 		})
 	}
-	for id := 1; id < len(t.series); id++ {
-		ks := t.series[id]
+	for _, ks := range t.series {
+		if ks == nil {
+			continue
+		}
 		kp := &KernelProfile{Name: ks.name, Points: append([]SlicePoint(nil), ks.points...)}
 		for _, pt := range kp.Points {
 			kp.Total.add(pt)

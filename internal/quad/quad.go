@@ -65,9 +65,15 @@ func (o *Options) setDefaults() {
 // kernelData accumulates per-kernel counters.
 type kernelData struct {
 	name     string
+	id       uint16
 	inBytes  uint64
 	readSet  *shadow.AddrSet
 	writeSet *shadow.AddrSet
+	// from[producer] = bytes this kernel read that producer last wrote,
+	// producer shadow.NoOwner meaning the byte had no tracked producer
+	// (e.g. data placed by the simulated OS).  The row grows as kernels
+	// appear; the whole set of rows is the producer×consumer matrix.
+	from []uint64
 }
 
 // Tool is one attached QUAD instance.
@@ -76,13 +82,10 @@ type Tool struct {
 	host  pin.Host
 	stack *callstack.Stack
 
-	owners  *shadow.Owners
-	kernels []*kernelData // index = kernel id (0 unused)
-	ids     map[string]uint16
-
-	// bindings[producer][consumer] = bytes, producer 0 meaning the byte
-	// had no tracked producer (e.g. data placed by the simulated OS).
-	bindings map[uint16]map[uint16]uint64
+	owners *shadow.Owners
+	// kernels is indexed by callstack Frame.ID; an entry is created on
+	// the kernel's first attributed access (nil until then).
+	kernels []*kernelData
 }
 
 // Attach wires a QUAD tool onto the host — a live pin.Engine or a trace
@@ -90,12 +93,9 @@ type Tool struct {
 func Attach(h pin.Host, opts Options) *Tool {
 	opts.setDefaults()
 	t := &Tool{
-		opts:     opts,
-		host:     h,
-		owners:   shadow.NewOwners(),
-		kernels:  []*kernelData{nil}, // id 0 reserved
-		ids:      make(map[string]uint16),
-		bindings: make(map[uint16]map[uint16]uint64),
+		opts:   opts,
+		host:   h,
+		owners: shadow.NewOwners(),
 	}
 	h.InitSymbols()
 	t.stack = callstack.New(func(target uint64) (string, bool, bool) {
@@ -110,30 +110,29 @@ func Attach(h pin.Host, opts Options) *Tool {
 	return t
 }
 
-// kernelID interns a kernel name.
-func (t *Tool) kernelID(name string) uint16 {
-	if id, ok := t.ids[name]; ok {
-		return id
-	}
-	id := uint16(len(t.kernels))
-	t.ids[name] = id
-	t.kernels = append(t.kernels, &kernelData{
-		name:     name,
-		readSet:  shadow.NewAddrSet(),
-		writeSet: shadow.NewAddrSet(),
-	})
-	return id
-}
-
 // current resolves the kernel currently on top of the internal call
-// stack; ok is false inside excluded library regions or before main image
-// entry.
-func (t *Tool) current() (uint16, bool) {
+// stack, creating its entry on first use; ok is false inside excluded
+// library regions or before main image entry.
+func (t *Tool) current() (*kernelData, bool) {
 	fr, ok := t.stack.Current()
 	if !ok {
-		return 0, false
+		return nil, false
 	}
-	return t.kernelID(fr.Name), true
+	if int(fr.ID) < len(t.kernels) {
+		if k := t.kernels[fr.ID]; k != nil {
+			return k, true
+		}
+	} else {
+		t.kernels = append(t.kernels, make([]*kernelData, int(fr.ID)+1-len(t.kernels))...)
+	}
+	k := &kernelData{
+		name:     fr.Name,
+		id:       fr.ID,
+		readSet:  shadow.NewAddrSet(),
+		writeSet: shadow.NewAddrSet(),
+	}
+	t.kernels[fr.ID] = k
+	return k, true
 }
 
 // instruction is the INS instrumentation routine (the paper's
@@ -190,25 +189,20 @@ func (t *Tool) read(ctx *pin.Context, isStack bool) {
 		h.ChargeOverhead(t.opts.CostSkip)
 		return
 	}
-	me, ok := t.current()
+	k, ok := t.current()
 	if !ok {
 		h.ChargeOverhead(t.opts.CostSkip)
 		return
 	}
 	h.ChargeOverhead(t.opts.CostTrace)
-	k := t.kernels[me]
 	k.inBytes += uint64(ctx.Size)
-	for i := 0; i < ctx.Size; i++ {
-		a := ctx.Addr + uint64(i)
-		k.readSet.Add(a)
-		prod := t.owners.Owner(a)
-		bm := t.bindings[prod]
-		if bm == nil {
-			bm = make(map[uint16]uint64)
-			t.bindings[prod] = bm
-		}
-		bm[me]++
+	k.readSet.AddRange(ctx.Addr, ctx.Size)
+	// Every stored owner id belongs to an existing kernel, so a row as
+	// long as kernels can index any of them.
+	if n := len(t.kernels); len(k.from) < n {
+		k.from = append(k.from, make([]uint64, n-len(k.from))...)
 	}
+	t.owners.Count(ctx.Addr, ctx.Size, k.from)
 }
 
 func (t *Tool) write(ctx *pin.Context, isStack bool) {
@@ -217,15 +211,14 @@ func (t *Tool) write(ctx *pin.Context, isStack bool) {
 		h.ChargeOverhead(t.opts.CostSkip)
 		return
 	}
-	me, ok := t.current()
+	k, ok := t.current()
 	if !ok {
 		h.ChargeOverhead(t.opts.CostSkip)
 		return
 	}
 	h.ChargeOverhead(t.opts.CostTrace)
-	k := t.kernels[me]
 	k.writeSet.AddRange(ctx.Addr, ctx.Size)
-	t.owners.SetRange(ctx.Addr, ctx.Size, me)
+	t.owners.SetRange(ctx.Addr, ctx.Size, k.id)
 }
 
 // KernelStats is one row of Table II.
@@ -252,32 +245,34 @@ type Report struct {
 
 // Report assembles the run's results.
 func (t *Tool) Report() *Report {
-	out := make(map[uint16]uint64) // producer -> total bytes consumed by anyone
+	out := make([]uint64, len(t.kernels)) // producer -> total bytes consumed by anyone
 	var bindings []Binding
-	for prod, consumers := range t.bindings {
-		for cons, bytes := range consumers {
-			if prod != shadow.NoOwner {
-				out[prod] += bytes
+	for _, cons := range t.kernels {
+		if cons == nil {
+			continue
+		}
+		for prod, bytes := range cons.from {
+			if bytes == 0 {
+				continue
 			}
 			pname := ""
-			if prod != shadow.NoOwner {
+			if prod != int(shadow.NoOwner) {
+				out[prod] += bytes
 				pname = t.kernels[prod].name
 			}
-			bindings = append(bindings, Binding{
-				Producer: pname,
-				Consumer: t.kernels[cons].name,
-				Bytes:    bytes,
-			})
+			bindings = append(bindings, Binding{Producer: pname, Consumer: cons.name, Bytes: bytes})
 		}
 	}
 	var rows []KernelStats
-	for id := 1; id < len(t.kernels); id++ {
-		k := t.kernels[id]
+	for _, k := range t.kernels {
+		if k == nil {
+			continue
+		}
 		rows = append(rows, KernelStats{
 			Name:    k.name,
 			In:      k.inBytes,
 			InUnMA:  k.readSet.Count(),
-			Out:     out[uint16(id)],
+			Out:     out[k.id],
 			OutUnMA: k.writeSet.Count(),
 		})
 	}
