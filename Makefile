@@ -6,7 +6,7 @@ GO ?= go
 # the run loudly, not stall CI at the default 10 minutes per package.
 TEST_TIMEOUT ?= 300s
 
-.PHONY: build test vet race chaos corrupt fuzz bench bench-json bench-compare jobd-smoke verify
+.PHONY: build test vet race chaos corrupt fuzz bench bench-json bench-compare jobd-smoke perfbench verify
 
 build:
 	$(GO) build ./...
@@ -38,16 +38,18 @@ chaos:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/chaos/...
 
 # The trace-integrity gate: the etrace corruption matrix (every fault
-# class × every replay mode — detected or byte-identical, never silent
-# divergence), the format-generation compat suite, and the end-to-end
-# rerecord-on-corrupt scheduler scenarios.
+# class × {strict, salvage} × {inline decode, three decode workers} —
+# detected or byte-identical, never silent divergence), the
+# format-generation compat suite, and the end-to-end rerecord-on-corrupt
+# scheduler scenarios.
 corrupt:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestCorruptionMatrix|TestSalvageAccounting|TestFormatGenerations|TestStatReportsGenerations' -v ./internal/etrace
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestChaosCorrupt|TestChaosENOSPC|TestChaosTornTail' -v .
 
 # Short fuzzing budgets for the text/binary-format parsers — the
-# event-trace decoder, the salvage replay paths, the indexed parallel
-# replay pipeline, the JSON profile envelope and the cache-geometry
+# event-trace decoder (inline decode plus Stat), the salvage replay
+# paths, the indexed replay pipeline cross-checked against the streaming
+# decode oracle, the JSON profile envelope and the cache-geometry
 # grammar, none of which may panic on any input — and for the two
 # equivalence oracles: the block engine against the reference stepper,
 # and the dense QUAD tool against its map-based original.
@@ -95,7 +97,13 @@ jobd-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestDaemonServiceSmoke|TestChaosDaemonKillResume' -v .
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/jobd/...
 
+# The benchmark harness is its own module (perfbench/go.mod), which the
+# root build skips: vet and short-test it so an etrace or study API
+# change cannot break the benchmark silently.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
 # One-shot pre-merge gate: build, vet, the full test suite, the
-# race-detector pass over the concurrency-heavy packages, and the
-# trace-integrity gate.
-verify: build vet test race corrupt
+# race-detector pass over the concurrency-heavy packages, the
+# trace-integrity gate and the benchmark harness.
+verify: build vet test race corrupt perfbench

@@ -607,7 +607,7 @@ func BenchmarkSweepCache(b *testing.B) {
 }
 
 // BenchmarkParallelReplay measures indexed parallel trace decode against
-// the sequential replayer over the same in-memory recording of the full
+// inline (Jobs 1) decode over the same in-memory recording of the full
 // study workload, with a bare consumer attached (no analysis tools), so
 // the comparison isolates the decode pipeline.  The speedup target from
 // the indexed-replay work is >=2x at four workers on >=4 cores: decode
@@ -633,24 +633,12 @@ func BenchmarkParallelReplay(b *testing.B) {
 	}
 	data := buf.Bytes()
 
-	b.Run("sequential", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-		for i := 0; i < b.N; i++ {
-			rp, err := etrace.NewReplayer(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := rp.Replay(); err != nil {
-				b.Fatal(err)
-			}
-			if rp.ICount() != m.ICount {
-				b.Fatalf("replayed %d instructions, recorded %d", rp.ICount(), m.ICount)
-			}
+	for _, jobs := range []int{1, 2, 4} {
+		name := fmt.Sprintf("jobs%d", jobs)
+		if jobs == 1 {
+			name = "sequential" // inline decode, no worker pool
 		}
-	})
-	for _, jobs := range []int{2, 4} {
-		b.Run(fmt.Sprintf("jobs%d", jobs), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 			for i := 0; i < b.N; i++ {

@@ -113,10 +113,7 @@ func dumpTraceJSON(w io.Writer, path string) (int, error) {
 		doc.ExitCode = exitTraceSalvageable
 		return doc.ExitCode, writeTraceJSON(w, &doc)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 1, err
-	}
-	info, err := etrace.Stat(f)
+	info, err := etrace.Stat(f, st.Size())
 	if err != nil {
 		// Verify passed but the record stream does not decode: treat as
 		// damage rather than a host failure, keeping exit-code semantics.

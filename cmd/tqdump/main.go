@@ -131,10 +131,7 @@ func dumpTrace(path string, salvage bool) (int, error) {
 		return exitTraceUnreadable, nil
 	}
 	if !health.Damaged() {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return 1, err
-		}
-		if err := dumpTraceReader(os.Stdout, path, f); err != nil {
+		if err := dumpTraceInfo(os.Stdout, path, f, st.Size()); err != nil {
 			return 1, err
 		}
 		integrity := "no checksums (v1 format)"
@@ -221,11 +218,11 @@ func dumpSalvage(w io.Writer, ra io.ReaderAt, size int64) error {
 	return nil
 }
 
-// dumpTraceReader is dumpTrace over any reader.  It streams: the trace
-// is summarised in one bounded-memory pass, never buffered whole, so
-// multi-gigabyte recordings and non-seekable sources (pipes) both work.
-func dumpTraceReader(w io.Writer, name string, r io.Reader) error {
-	info, err := etrace.Stat(r)
+// dumpTraceInfo prints the summary of the size-byte trace in ra.  The
+// trace is summarised one chunk at a time, never buffered whole, so
+// multi-gigabyte recordings work.
+func dumpTraceInfo(w io.Writer, name string, ra io.ReaderAt, size int64) error {
+	info, err := etrace.Stat(ra, size)
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
@@ -11,30 +10,20 @@ import (
 	"tquad/internal/wfs"
 )
 
-// streamReader serves a trace in small slices and fails the test if the
-// dumper ever asks for a big contiguous read — the signature of
-// whole-file buffering (io.ReadAll / os.ReadFile style) that -etrace
-// must never do: recorded traces can be orders of magnitude larger than
-// memory.
-type streamReader struct {
+// boundedReaderAt serves a trace and fails the test if the dumper ever
+// asks for a big contiguous read — the signature of whole-file
+// buffering (io.ReadAll / os.ReadFile style) that -etrace must never
+// do: recorded traces can be orders of magnitude larger than memory.
+type boundedReaderAt struct {
 	t    *testing.T
 	data []byte
-	off  int
 }
 
-func (r *streamReader) Read(p []byte) (int, error) {
+func (r *boundedReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	if len(p) > 256<<10 {
 		r.t.Fatalf("dump requested a %d-byte read: trace is being buffered, not streamed", len(p))
 	}
-	if len(p) > 4<<10 {
-		p = p[:4<<10] // drip-feed; a streaming consumer must tolerate short reads
-	}
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
+	return bytes.NewReader(r.data).ReadAt(p, off)
 }
 
 // recordTrace captures the small WFS workload's event trace.
@@ -66,7 +55,7 @@ func TestDumpTraceStreams(t *testing.T) {
 		t.Fatalf("recorded trace is only %d bytes; too small to prove streaming", len(data))
 	}
 	var out strings.Builder
-	if err := dumpTraceReader(&out, "stream.etrace", &streamReader{t: t, data: data}); err != nil {
+	if err := dumpTraceInfo(&out, "stream.etrace", &boundedReaderAt{t: t, data: data}, int64(len(data))); err != nil {
 		t.Fatal(err)
 	}
 	dump := out.String()
@@ -81,10 +70,10 @@ func TestDumpTraceStreams(t *testing.T) {
 		}
 	}
 
-	// The same dump over a seekable reader must be identical: streaming
-	// is a transport detail, not a different report.
+	// The same dump over an unbounded reader must be identical: chunked
+	// reading is a transport detail, not a different report.
 	var out2 strings.Builder
-	if err := dumpTraceReader(&out2, "stream.etrace", bytes.NewReader(data)); err != nil {
+	if err := dumpTraceInfo(&out2, "stream.etrace", bytes.NewReader(data), int64(len(data))); err != nil {
 		t.Fatal(err)
 	}
 	if out2.String() != dump {
@@ -102,7 +91,7 @@ func TestDumpTraceTruncated(t *testing.T) {
 	}
 	cut := idx.Chunks[len(idx.Chunks)/2].Offset
 	var out strings.Builder
-	if err := dumpTraceReader(&out, "cut.etrace", bytes.NewReader(data[:cut])); err != nil {
+	if err := dumpTraceInfo(&out, "cut.etrace", bytes.NewReader(data[:cut]), cut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "final state: MISSING") {

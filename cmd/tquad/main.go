@@ -71,7 +71,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -475,7 +474,7 @@ func main() {
 type replayOpts struct {
 	intervals    []uint64
 	caches       []memsim.Config
-	jobs         int  // decode workers; 1 = sequential Replayer
+	jobs         int  // decode workers; 1 decodes inline, 0 = GOMAXPROCS
 	salvage      bool // replay around damaged chunks instead of failing
 	includeStack bool
 	ignoreLibs   bool
@@ -531,10 +530,14 @@ func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Con
 		return err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
 	if interval == 0 {
 		// Dry-sizing from the recording itself: no guest run needed, the
 		// trailer already has the total instruction count.
-		info, err := etrace.Stat(f)
+		info, err := etrace.Stat(f, fi.Size())
 		if err != nil || !info.Complete {
 			// Dry-sizing needs the trailer's instruction total, which a
 			// damaged trace may not have even in salvage mode.
@@ -549,38 +552,14 @@ func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Con
 		if interval = info.FinalICount / 64; interval == 0 {
 			interval = 1
 		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
 	}
 
 	instrument := ob.Tracer().Start("instrument")
-	// Sequential and indexed-parallel replay share the Consumer host; the
-	// driver only differs in how it walks the chunks.
-	var host *etrace.Consumer
-	var driver interface{ ReplayContext(context.Context) error }
-	if o.jobs == 1 {
-		var rp *etrace.Replayer
-		if o.salvage {
-			rp, err = etrace.NewSalvageReplayer(f)
-		} else {
-			rp, err = etrace.NewReplayer(f)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		host, driver = rp.Consumer, rp
-	} else {
-		fi, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		pr, err := etrace.NewParallelReplayer(f, fi.Size(), etrace.ParallelOptions{Jobs: o.jobs, Salvage: o.salvage})
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		host, driver = pr.NewConsumer(), pr
+	pr, err := etrace.NewParallelReplayer(f, fi.Size(), etrace.ParallelOptions{Jobs: o.jobs, Salvage: o.salvage})
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
+	host := pr.NewConsumer()
 	tool := core.Attach(host, core.Options{
 		SliceInterval: interval,
 		IncludeStack:  o.includeStack,
@@ -600,7 +579,7 @@ func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Con
 	instrument.End()
 
 	replay := ob.Tracer().Start("replay")
-	if err := driver.ReplayContext(ctx); err != nil {
+	if err := pr.ReplayContext(ctx); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	replay.SetInstr(host.ICount())

@@ -225,13 +225,19 @@ func TestCorruptionBudget(t *testing.T) {
 	}
 }
 
-// TestReplayTruncate: the replay reader is capped at the plan's budget.
+// TestReplayTruncate: the replay's view of the trace is capped at the
+// plan's budget, both in the size it reports and in what it can read.
 func TestReplayTruncate(t *testing.T) {
-	in := New(Plan{ReplayTruncate: 4})
-	r := in.Hooks().ReplayReader(bytes.NewReader(make([]byte, 100)))
-	b, err := io.ReadAll(r)
-	if err != nil || len(b) != 4 {
-		t.Fatalf("read %d bytes (err=%v), want 4", len(b), err)
+	hook := New(Plan{ReplayTruncate: 4}).Hooks().ReplayReader
+	ra, size := hook(bytes.NewReader(make([]byte, 100)), 100)
+	if size != 4 {
+		t.Fatalf("capped size %d, want 4", size)
+	}
+	if n, err := ra.ReadAt(make([]byte, 8), 0); n != 4 || err != io.EOF {
+		t.Fatalf("read %d bytes (err=%v) past the cap, want 4 and EOF", n, err)
+	}
+	if _, size := hook(bytes.NewReader(make([]byte, 2)), 2); size != 2 {
+		t.Fatalf("a trace under the cap was resized to %d", size)
 	}
 }
 

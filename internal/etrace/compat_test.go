@@ -2,7 +2,6 @@ package etrace_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"tquad/internal/core"
@@ -21,7 +20,9 @@ import (
 // This suite pins the compatibility promise: all three generations
 // replay to byte-identical tQUAD profiles under every driver —
 // sequential, parallel, and salvage — and Stat reports each stream's
-// generation honestly.
+// generation honestly.  The drivers are ParallelReplayer configurations:
+// sequential decodes inline (Jobs 1), parallel uses two decode workers,
+// salvage decodes inline in fail-soft mode.
 
 // recordAtVersion records the shared small workload at a forced format
 // revision and returns the raw stream.
@@ -66,42 +67,28 @@ func generations(t *testing.T) map[string][]byte {
 func profileVia(t *testing.T, data []byte, mode string, interval uint64) []byte {
 	t.Helper()
 	opts := core.Options{SliceInterval: interval, IncludeStack: true}
-	var host pin.Host
-	var run func() error
+	var po etrace.ParallelOptions
 	switch mode {
 	case "sequential":
-		rp, err := etrace.NewReplayer(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		host, run = rp, rp.Replay
+		po = etrace.ParallelOptions{Jobs: 1}
 	case "parallel":
-		pr, err := etrace.NewParallelReplayer(bytes.NewReader(data), int64(len(data)),
-			etrace.ParallelOptions{Jobs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		host, run = pr.NewConsumer(), pr.Replay
+		po = etrace.ParallelOptions{Jobs: 2}
 	case "salvage":
-		rp, err := etrace.NewSalvageReplayer(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		host, run = rp, func() error {
-			if err := rp.Replay(); err != nil {
-				return err
-			}
-			if rep := rp.Consumer.SalvageReport(); rep.Damaged() {
-				return fmt.Errorf("undamaged stream reported damage: %s", rep)
-			}
-			return nil
-		}
+		po = etrace.ParallelOptions{Jobs: 1, Salvage: true}
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}
-	tool := core.Attach(host, opts)
-	if err := run(); err != nil {
+	pr, err := etrace.NewParallelReplayer(bytes.NewReader(data), int64(len(data)), po)
+	if err != nil {
 		t.Fatal(err)
+	}
+	host := pr.NewConsumer()
+	tool := core.Attach(host, opts)
+	if err := pr.Replay(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := host.SalvageReport(); rep != nil && rep.Damaged() {
+		t.Fatalf("%s: undamaged stream reported damage: %s", mode, rep)
 	}
 	var out bytes.Buffer
 	if err := trace.SaveTemporal(&out, tool.Snapshot()); err != nil {
@@ -147,7 +134,7 @@ func TestStatReportsGenerations(t *testing.T) {
 		{"gen3", 2, true, true},
 	}
 	for _, tc := range cases {
-		info, err := etrace.Stat(bytes.NewReader(gens[tc.gen]))
+		info, err := stat(gens[tc.gen])
 		if err != nil {
 			t.Fatalf("%s: Stat: %v", tc.gen, err)
 		}

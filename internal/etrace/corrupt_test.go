@@ -14,7 +14,7 @@ import (
 // suffer — bit flips in the header, a chunk payload, a length prefix or
 // the index footer; truncation mid-chunk, at a chunk boundary, or a few
 // torn tail bytes; a whole chunk zeroed — crossed with every replay mode
-// (sequential and parallel, strict and salvage).  The invariant is
+// (strict and salvage, decoded inline and by three workers).  The invariant is
 // fail-closed-or-accounted: each injected fault is either DETECTED (a
 // strict replay stops with a CorruptError; a salvage replay counts the
 // loss in its report) or the output is byte-identical to the pristine
@@ -33,43 +33,29 @@ func traceDigest(c *etrace.Consumer) string {
 type replayMode struct {
 	name    string
 	salvage bool
-	run     func(data []byte) (string, *etrace.SalvageReport, error)
+	jobs    int
 }
 
+// run replays data once in this mode with a bare consumer attached.
+func (m replayMode) run(data []byte) (string, *etrace.SalvageReport, error) {
+	pr, err := etrace.NewParallelReplayer(bytes.NewReader(data), int64(len(data)),
+		etrace.ParallelOptions{Jobs: m.jobs, Salvage: m.salvage})
+	if err != nil {
+		return "", nil, err
+	}
+	c := pr.NewConsumer()
+	err = pr.Replay()
+	return traceDigest(c), c.SalvageReport(), err
+}
+
+// replayModes crosses {strict, salvage} with {inline decode, three
+// decode workers}.
 func replayModes() []replayMode {
-	seq := func(salvage bool) func([]byte) (string, *etrace.SalvageReport, error) {
-		return func(data []byte) (string, *etrace.SalvageReport, error) {
-			var rp *etrace.Replayer
-			var err error
-			if salvage {
-				rp, err = etrace.NewSalvageReplayer(bytes.NewReader(data))
-			} else {
-				rp, err = etrace.NewReplayer(bytes.NewReader(data))
-			}
-			if err != nil {
-				return "", nil, err
-			}
-			err = rp.Replay()
-			return traceDigest(rp.Consumer), rp.Consumer.SalvageReport(), err
-		}
-	}
-	par := func(salvage bool) func([]byte) (string, *etrace.SalvageReport, error) {
-		return func(data []byte) (string, *etrace.SalvageReport, error) {
-			pr, err := etrace.NewParallelReplayer(bytes.NewReader(data), int64(len(data)),
-				etrace.ParallelOptions{Jobs: 3, Salvage: salvage})
-			if err != nil {
-				return "", nil, err
-			}
-			c := pr.NewConsumer()
-			err = pr.Replay()
-			return traceDigest(c), c.SalvageReport(), err
-		}
-	}
 	return []replayMode{
-		{name: "sequential", salvage: false, run: seq(false)},
-		{name: "parallel", salvage: false, run: par(false)},
-		{name: "sequential-salvage", salvage: true, run: seq(true)},
-		{name: "parallel-salvage", salvage: true, run: par(true)},
+		{name: "strict-j1", jobs: 1},
+		{name: "strict-j3", jobs: 3},
+		{name: "salvage-j1", salvage: true, jobs: 1},
+		{name: "salvage-j3", salvage: true, jobs: 3},
 	}
 }
 
@@ -97,7 +83,7 @@ func TestCorruptionMatrix(t *testing.T) {
 	// zero damage — salvage of an undamaged trace IS the strict replay.
 	want, _, err := modes[0].run(rec.data)
 	if err != nil {
-		t.Fatalf("pristine sequential replay: %v", err)
+		t.Fatalf("pristine %s replay: %v", modes[0].name, err)
 	}
 	for _, m := range modes[1:] {
 		d, rep, err := m.run(rec.data)
@@ -234,8 +220,9 @@ func TestSalvageAccounting(t *testing.T) {
 // FuzzSalvage feeds arbitrary bytes to the salvage replay paths: the
 // contract is that salvage NEVER panics or hangs — it errors only when
 // the header is unusable, and otherwise completes with a loss report.
-// On an undamaged trace, salvage must reproduce the strict sequential
-// replay exactly (checked against a strict run inside the fuzz body).
+// On an undamaged trace, salvage must reproduce the strict inline-decode
+// replay exactly (checked against a strict Jobs 1 run inside the fuzz
+// body).
 func FuzzSalvage(f *testing.F) {
 	w, err := wfs.NewWorkload(wfs.Small())
 	if err != nil {
@@ -263,26 +250,20 @@ func FuzzSalvage(f *testing.F) {
 	f.Add([]byte("TQET\x02"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if rp, err := etrace.NewSalvageReplayer(bytes.NewReader(b)); err == nil {
-			if err := rp.Replay(); err == nil && !rp.Consumer.SalvageReport().Damaged() {
-				// Salvage saw a pristine trace: a strict replay must agree
-				// byte for byte, and must not error where salvage succeeded.
-				strict, err := etrace.NewReplayer(bytes.NewReader(b))
-				if err != nil {
-					t.Fatalf("salvage passed undamaged but strict header failed: %v", err)
-				}
-				if err := strict.Replay(); err != nil {
-					t.Fatalf("salvage passed undamaged but strict replay failed: %v", err)
-				}
-				if got, want := traceDigest(rp.Consumer), traceDigest(strict.Consumer); got != want {
-					t.Fatalf("undamaged salvage diverges from strict replay:\n got %s\nwant %s", got, want)
-				}
+		for _, jobs := range []int{1, 2} {
+			got, rep, err := replayMode{salvage: true, jobs: jobs}.run(b)
+			if err != nil || rep.Damaged() {
+				continue
 			}
-		}
-		if pr, err := etrace.NewParallelReplayer(bytes.NewReader(b), int64(len(b)),
-			etrace.ParallelOptions{Jobs: 2, Salvage: true}); err == nil {
-			pr.NewConsumer()
-			_ = pr.Replay()
+			// Salvage saw a pristine trace: a strict replay must agree
+			// byte for byte, and must not error where salvage succeeded.
+			want, _, err := replayMode{jobs: 1}.run(b)
+			if err != nil {
+				t.Fatalf("jobs=%d: salvage passed undamaged but strict replay failed: %v", jobs, err)
+			}
+			if got != want {
+				t.Fatalf("jobs=%d: undamaged salvage diverges from strict replay:\n got %s\nwant %s", jobs, got, want)
+			}
 		}
 		_, _ = etrace.Verify(bytes.NewReader(b), int64(len(b)))
 	})

@@ -38,7 +38,7 @@
 //	                        rebuild their index by a frame scan.
 //
 // Each chunk is a length-prefixed block of records, and every delta chain
-// resets at a chunk boundary, so a replayer streams the file chunk by
+// resets at a chunk boundary, so a replayer decodes the file chunk by
 // chunk without loading it whole and a corrupted chunk cannot poison
 // decoding past its own boundary.  Records:
 //
@@ -54,9 +54,10 @@
 //	end      final icount, final pc, exit code, halted flag
 //
 // The Recorder attaches to a pin.Engine exactly like a profiling tool;
-// the Replayer implements pin.Host, so core.Attach, quad.Attach and
-// flatprof.Attach run unchanged against a recorded stream and produce
-// byte-identical profiles (asserted by the golden tests).
+// each ParallelReplayer Consumer implements pin.Host, so core.Attach,
+// quad.Attach and flatprof.Attach run unchanged against a recorded
+// stream and produce byte-identical profiles (asserted by the golden
+// tests).
 package etrace
 
 import (
@@ -106,8 +107,7 @@ const (
 	// maxIndexEntries caps the chunk count a footer may claim; combined
 	// with chunkTarget it admits traces far past the terabyte mark.
 	maxIndexEntries = 1 << 22
-	// maxFooterLen bounds how much trailing data the streaming decoder
-	// will buffer while validating a footer.
+	// maxFooterLen bounds the index footer a reader will load.
 	maxFooterLen = 1 << 26
 )
 

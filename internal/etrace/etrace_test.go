@@ -75,45 +75,33 @@ func workload(t *testing.T) *wfs.Workload {
 	return smallWorkload
 }
 
-func replayer(t *testing.T, rec *recorded) *etrace.Replayer {
+// replayer opens rec for a strict sequential replay (one decode job) and
+// returns the driver with its one consumer.
+func replayer(t *testing.T, rec *recorded) (*etrace.ParallelReplayer, *etrace.Consumer) {
 	t.Helper()
-	rp, err := etrace.NewReplayer(bytes.NewReader(rec.data))
+	pr, err := openSequential(rec.data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rp
+	return pr, pr.NewConsumer()
 }
 
-// TestReplayOnProgress: a registered progress callback receives a
-// monotonic stream of replayed instruction counts even with no
-// cancellable context attached — the live dashboard's replay heartbeat.
-func TestReplayOnProgress(t *testing.T) {
-	rec := record(t)
-	rp := replayer(t, rec)
-	var beats []uint64
-	rp.OnProgress(func(ic uint64) { beats = append(beats, ic) })
-	if err := rp.Replay(); err != nil {
-		t.Fatal(err)
-	}
-	if len(beats) == 0 {
-		t.Fatal("progress callback never fired")
-	}
-	for i := 1; i < len(beats); i++ {
-		if beats[i] < beats[i-1] {
-			t.Fatalf("progress went backwards: %d then %d", beats[i-1], beats[i])
-		}
-	}
-	if last := beats[len(beats)-1]; last > rec.icount {
-		t.Errorf("progress %d exceeds recorded icount %d", last, rec.icount)
-	}
+// openSequential opens data for a strict replay that decodes inline.
+func openSequential(data []byte) (*etrace.ParallelReplayer, error) {
+	return etrace.NewParallelReplayer(bytes.NewReader(data), int64(len(data)), etrace.ParallelOptions{Jobs: 1})
+}
+
+// stat summarises an in-memory trace.
+func stat(data []byte) (*etrace.Info, error) {
+	return etrace.Stat(bytes.NewReader(data), int64(len(data)))
 }
 
 // TestReplayReproducesFinalState: the replayed machine state (counters,
 // exit status, memory statistics) must equal the live run's.
 func TestReplayReproducesFinalState(t *testing.T) {
 	rec := record(t)
-	rp := replayer(t, rec)
-	if err := rp.Replay(); err != nil {
+	pr, rp := replayer(t, rec)
+	if err := pr.Replay(); err != nil {
 		t.Fatal(err)
 	}
 	if rp.ICount() != rec.icount {
@@ -156,9 +144,9 @@ func TestReplayMatchesLiveTQUAD(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			rp := replayer(t, rec)
+			pr, rp := replayer(t, rec)
 			replayTool := core.Attach(rp, opts)
-			if err := rp.Replay(); err != nil {
+			if err := pr.Replay(); err != nil {
 				t.Fatal(err)
 			}
 			var replayed bytes.Buffer
@@ -194,10 +182,10 @@ func TestReplayMatchesLiveFlatAndQUAD(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rp := replayer(t, rec)
+	pr, rp := replayer(t, rec)
 	repFlat := flatprof.Attach(rp, flatprof.Options{})
 	repQuad := quad.Attach(rp, quad.Options{IncludeStack: true})
-	if err := rp.Replay(); err != nil {
+	if err := pr.Replay(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,7 +221,7 @@ func TestReplayMatchesLiveFlatAndQUAD(t *testing.T) {
 // per-block sum equals the recorded final instruction count.
 func TestReplayBlockEvents(t *testing.T) {
 	rec := record(t)
-	rp := replayer(t, rec)
+	pr, rp := replayer(t, rec)
 	var counted uint64
 	rp.OnBlock(func(start uint64, ninstr int, ic uint64) {
 		counted += uint64(ninstr)
@@ -241,7 +229,7 @@ func TestReplayBlockEvents(t *testing.T) {
 			t.Fatalf("block at %#x timestamped %d past the end of the run", start, ic)
 		}
 	})
-	if err := rp.Replay(); err != nil {
+	if err := pr.Replay(); err != nil {
 		t.Fatal(err)
 	}
 	if counted != rec.icount {
@@ -252,7 +240,7 @@ func TestReplayBlockEvents(t *testing.T) {
 // TestStatSummarises: the inspector must agree with the recording.
 func TestStatSummarises(t *testing.T) {
 	rec := record(t)
-	info, err := etrace.Stat(bytes.NewReader(rec.data))
+	info, err := stat(rec.data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +268,7 @@ func TestStatSummarises(t *testing.T) {
 func TestStatTruncated(t *testing.T) {
 	rec := record(t)
 	for _, n := range []int{len(rec.data) / 2, len(rec.data) - 1} {
-		info, err := etrace.Stat(bytes.NewReader(rec.data[:n]))
+		info, err := stat(rec.data[:n])
 		if err != nil {
 			// Cutting mid-chunk is a decode error; that is fine too, as
 			// long as it is an error rather than a panic.
@@ -305,12 +293,12 @@ func TestReplayerRejectsCorruptInput(t *testing.T) {
 		"mid truncate": rec.data[:len(rec.data)/3],
 	}
 	for name, data := range cases {
-		rp, err := etrace.NewReplayer(bytes.NewReader(data))
+		pr, err := openSequential(data)
 		if err != nil {
-			continue // rejected at the header: good
+			continue // rejected at open: good
 		}
-		core.Attach(rp, core.Options{SliceInterval: 1000, IncludeStack: true})
-		if err := rp.Replay(); err == nil {
+		core.Attach(pr.NewConsumer(), core.Options{SliceInterval: 1000, IncludeStack: true})
+		if err := pr.Replay(); err == nil {
 			t.Errorf("%s: corrupt trace replayed without error", name)
 		}
 	}
@@ -322,29 +310,17 @@ func TestReplayerRejectsCorruptInput(t *testing.T) {
 		}
 		mut := append([]byte(nil), rec.data...)
 		mut[off] ^= 0x55
-		rp, err := etrace.NewReplayer(bytes.NewReader(mut))
+		pr, err := openSequential(mut)
 		if err != nil {
 			continue
 		}
-		core.Attach(rp, core.Options{SliceInterval: 1000, IncludeStack: true})
-		_ = rp.Replay()
+		core.Attach(pr.NewConsumer(), core.Options{SliceInterval: 1000, IncludeStack: true})
+		_ = pr.Replay()
 	}
 }
 
-// TestReplayTwiceFails: a replayer is single-use.
-func TestReplayTwiceFails(t *testing.T) {
-	rec := record(t)
-	rp := replayer(t, rec)
-	if err := rp.Replay(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rp.Replay(); err == nil {
-		t.Error("second Replay did not error")
-	}
-}
-
-// FuzzReplay feeds arbitrary bytes to the full decode/replay path with a
-// profiling tool attached: the contract is error-or-success, never a
+// FuzzReplay feeds arbitrary bytes to the full sequential decode/replay
+// path with a profiling tool attached, and to Stat: the contract is error-or-success, never a
 // panic, a hang, or an unbounded allocation.  Seeds are prefixes of a
 // real recording so mutations explore the record grammar, not just the
 // header.
@@ -375,12 +351,11 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte("TQET\x01"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		rp, err := etrace.NewReplayer(bytes.NewReader(b))
-		if err == nil {
-			core.Attach(rp, core.Options{SliceInterval: 1000, IncludeStack: true})
-			_ = rp.Replay()
+		if pr, err := openSequential(b); err == nil {
+			core.Attach(pr.NewConsumer(), core.Options{SliceInterval: 1000, IncludeStack: true})
+			_ = pr.Replay()
 		}
-		_, _ = etrace.Stat(bytes.NewReader(b))
+		_, _ = stat(b)
 	})
 }
 

@@ -5,10 +5,9 @@
 // index is the table of contents that turns that property into random
 // access: one ChunkRef per chunk, serialised as a footer after the end
 // record.  The footer is discovered backwards — its last eight bytes are
-// a little-endian payload length plus the "TQIX" magic — so a seekable
-// reader finds it in one ReadAt without scanning the stream, while a
-// purely sequential reader simply decodes chunks until the end record
-// and then validates whatever trails it.
+// a little-endian payload length plus the "TQIX" magic — so a reader
+// finds it in one ReadAt without scanning the stream.  Every trace
+// reader (replay, Stat, Verify) decodes chunks through the index.
 //
 // Traces recorded before the footer existed (or whose footer was lost)
 // are still fully usable: ScanIndex rebuilds the offset table by walking

@@ -175,6 +175,7 @@ func TestParallelRejectsTamperedIndex(t *testing.T) {
 		return idx
 	}
 	hdr := header{version: Version, stackBase: 0x40000, workload: "synth"}
+	cr := chunkReader{ra: bytes.NewReader(data), version: Version, fromFooter: true}
 	tampers := map[string]func(*Index){
 		"offset shifted":    func(idx *Index) { idx.Chunks[1].Offset++ },
 		"size inflated":     func(idx *Index) { idx.Chunks[2].Size++ },
@@ -185,7 +186,7 @@ func TestParallelRejectsTamperedIndex(t *testing.T) {
 		for _, jobs := range []int{1, 3} {
 			idx := freshIndex()
 			tamper(idx)
-			p := &ParallelReplayer{ra: bytes.NewReader(data), hdr: hdr, index: idx, jobs: jobs}
+			p := &ParallelReplayer{chunks: cr, hdr: hdr, index: idx, jobs: jobs}
 			p.NewConsumer()
 			if err := p.ReplayContext(context.Background()); err == nil {
 				t.Errorf("%s (jobs=%d): tampered index replayed without error", name, jobs)
@@ -219,11 +220,13 @@ func TestStatHostileSkipFlag(t *testing.T) {
 		return append(b, payload...)
 	}
 
+	stat := func(b []byte) (*Info, error) { return Stat(bytes.NewReader(b), int64(len(b))) }
+
 	var hostileBlock []byte
 	hostileBlock = append(hostileBlock, recBlock|flagSkipped)
 	hostileBlock = binary.AppendUvarint(hostileBlock, 1) // ic delta
 	hostileBlock = binary.AppendUvarint(hostileBlock, 0) // id
-	if _, err := Stat(bytes.NewReader(chunked(hostileBlock))); err == nil ||
+	if _, err := stat(chunked(hostileBlock)); err == nil ||
 		!strings.Contains(err.Error(), "malformed block tag") {
 		t.Errorf("skip flag on a block record: got %v, want malformed-tag error", err)
 	}
@@ -234,7 +237,7 @@ func TestStatHostileSkipFlag(t *testing.T) {
 	hostileEnd = binary.AppendUvarint(hostileEnd, 0x1000) // pc
 	hostileEnd = binary.AppendUvarint(hostileEnd, 0)      // exit
 	hostileEnd = append(hostileEnd, 1)                    // halted
-	if _, err := Stat(bytes.NewReader(chunked(hostileEnd))); err == nil ||
+	if _, err := stat(chunked(hostileEnd)); err == nil ||
 		!strings.Contains(err.Error(), "malformed end tag") {
 		t.Errorf("skip flag on the end record: got %v, want malformed-tag error", err)
 	}
@@ -247,7 +250,7 @@ func TestStatHostileSkipFlag(t *testing.T) {
 	if err := w.end(3, 0x1010, 0, true); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Stat(bytes.NewReader(buf.Bytes()))
+	info, err := stat(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

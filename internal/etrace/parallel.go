@@ -29,32 +29,33 @@ type ParallelOptions struct {
 }
 
 // ParallelReplayer replays one recorded trace through any number of
-// consumers in a single pass, decoding chunks concurrently.
+// consumers in a single pass, decoding chunks concurrently.  It is the
+// only replay driver: with Jobs 1 it decodes inline, which is the
+// sequential replay.
 //
 // The division of labour: chunk *decode* (varint parsing, delta
 // reconstruction) parallelises freely because every delta chain resets
 // at a chunk boundary; decoded chunks are re-sequenced into file order
 // and fanned out to the consumers, each applying the stream on its own
 // goroutine.  Every consumer therefore observes exactly the record
-// sequence a sequential Replayer would deliver — parallel replay is
-// byte-identical by construction, asserted by the golden and
-// differential tests — while N tool stacks profile one decode pass
-// concurrently instead of replaying the trace N times.
+// sequence of the file, whatever the worker count — asserted by the
+// golden and differential tests — while N tool stacks profile one decode
+// pass concurrently instead of replaying the trace N times.
 //
 // Memory stays bounded: the ordered-promise window holds at most ~2x
 // the worker count of decoded chunks, each recycled through a pool once
 // every consumer is done with it.
 type ParallelReplayer struct {
-	ra    io.ReaderAt
-	hdr   header
-	index *Index
-	jobs  int
+	chunks chunkReader
+	hdr    header
+	index  *Index
+	jobs   int
 
-	// salvage-mode state: report collects the decode-side (chunk-level)
-	// damage tally on the coordinator goroutine; consumers get it merged
-	// into their own reports after the apply goroutines finish.
-	salvage bool
-	report  *SalvageReport
+	// report collects the decode-side (chunk-level) damage tally of a
+	// salvage replay on the coordinator goroutine; consumers get it
+	// merged into their own reports after the apply goroutines finish.
+	// Nil when strict.
+	report *SalvageReport
 
 	consumers []*Consumer
 	progress  func(ic uint64)
@@ -66,68 +67,67 @@ type ParallelReplayer struct {
 // an index rebuilt by a chunk-frame scan.  A footer that is present but
 // malformed is an error (fail closed), never silently rescanned.
 func NewParallelReplayer(ra io.ReaderAt, size int64, opts ParallelOptions) (*ParallelReplayer, error) {
-	cr := &countingReader{r: io.NewSectionReader(ra, 0, size)}
-	d := newDecoder(cr)
-	hdr, err := d.readHeader()
+	hdr, start, err := readHeader(ra, size)
 	if err != nil {
 		return nil, corrupt(err) // header damage: unreadable, not salvageable
 	}
-	headerEnd := cr.n - int64(d.r.Buffered())
-	report := new(SalvageReport)
-	idx, err := ReadIndex(ra, size)
+	idx, report, err := locateChunks(ra, hdr.version, start, size, opts.Salvage)
 	if err != nil {
-		if !opts.Salvage {
-			return nil, corrupt(err)
-		}
-		// Footer present but broken: salvage rebuilds the chunk table by
-		// a frame scan, which stops cleanly at framing damage.
-		report.FooterDamaged = true
-		idx = nil
-	}
-	if idx == nil {
-		if opts.Salvage {
-			var lost int64
-			idx, lost = salvageScanIndex(ra, headerEnd, size)
-			if lost > 0 {
-				report.TornTail = true
-			}
-			if hdr.version >= 2 && !report.FooterDamaged {
-				// A checksummed trace always carries a footer; a missing
-				// one means the tail (footer included) was lost.
-				report.FooterDamaged = true
-			}
-		} else if idx, err = ScanIndex(ra, headerEnd, size); err != nil {
-			return nil, corrupt(err)
-		}
-	}
-	if len(idx.Chunks) == 0 {
-		return nil, corrupt(errTruncated)
-	}
-	if idx.Chunks[0].Offset != headerEnd {
-		return nil, corrupt(fmt.Errorf("etrace: index starts at %d, chunks at %d", idx.Chunks[0].Offset, headerEnd))
+		return nil, corrupt(err)
 	}
 	jobs := opts.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	p := &ParallelReplayer{ra: ra, hdr: hdr, index: idx, jobs: jobs, salvage: opts.Salvage}
-	if opts.Salvage {
-		p.report = report
+	return &ParallelReplayer{
+		chunks: chunkReader{ra: ra, version: hdr.version, fromFooter: idx.FromFooter, salvage: opts.Salvage},
+		hdr:    hdr,
+		index:  idx,
+		jobs:   jobs,
+		report: report,
+	}, nil
+}
+
+// locateChunks finds the chunk table of a trace whose first chunk starts
+// at start: the index footer when present, a frame scan otherwise.  A
+// strict open fails on a footer that is present but malformed.  Salvage
+// instead rebuilds the table by a frame scan that stops cleanly at
+// framing damage, and tallies what it saw in the returned report (nil
+// when strict).
+func locateChunks(ra io.ReaderAt, version byte, start, size int64, salvage bool) (*Index, *SalvageReport, error) {
+	var report *SalvageReport
+	if salvage {
+		report = new(SalvageReport)
 	}
-	return p, nil
-}
-
-// countingReader tracks how many bytes have been read — how the header's
-// end offset is recovered from the streaming parse.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+	idx, err := ReadIndex(ra, size)
+	if err != nil {
+		if !salvage {
+			return nil, nil, err
+		}
+		report.FooterDamaged = true
+		idx = nil
+	}
+	if idx == nil {
+		if salvage {
+			var lost int64
+			idx, lost = salvageScanIndex(ra, start, size)
+			report.TornTail = lost > 0
+			if version >= 2 {
+				// A checksummed trace always carries a footer; a missing
+				// one means the tail (footer included) was lost.
+				report.FooterDamaged = true
+			}
+		} else if idx, err = ScanIndex(ra, start, size); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(idx.Chunks) == 0 {
+		return nil, nil, errTruncated
+	}
+	if idx.Chunks[0].Offset != start {
+		return nil, nil, fmt.Errorf("etrace: index starts at %d, chunks at %d", idx.Chunks[0].Offset, start)
+	}
+	return idx, report, nil
 }
 
 // Index returns the chunk index the replay will follow.
@@ -143,7 +143,7 @@ func (p *ParallelReplayer) StackBase() uint64 { return p.hdr.stackBase }
 // tool stack to each consumer, then call Replay once.
 func (p *ParallelReplayer) NewConsumer() *Consumer {
 	c := newConsumer(p.hdr)
-	if p.salvage {
+	if p.report != nil {
 		c.salvage = new(SalvageReport)
 	}
 	p.consumers = append(p.consumers, c)
@@ -151,8 +151,10 @@ func (p *ParallelReplayer) NewConsumer() *Consumer {
 }
 
 // OnProgress registers a heartbeat callback invoked with the replayed
-// instruction count (of the first consumer) every cancelCheckStride
-// records, mirroring Replayer.OnProgress.
+// instruction count of the first consumer after every applied chunk —
+// the same position as the cancellation poll, so progress costs nothing
+// on the per-record hot path and nothing at all when no callback is
+// registered.
 func (p *ParallelReplayer) OnProgress(fn func(ic uint64)) { p.progress = fn }
 
 // Replay runs the single decode pass, feeding every record to every
@@ -177,15 +179,11 @@ type decodedChunk struct {
 	hasEnd    bool
 }
 
-// decode runs decodeChunk over one index entry, absorbing failures into
-// damage flags when salvaging.
+// decode runs decodeChunk over one index entry into a pooled slice.
 func (p *ParallelReplayer) decode(ref ChunkRef, last bool) decodedChunk {
 	buf := recPool.Get().(*[]record)
 	dc := decodedChunk{recs: buf, ref: ref}
-	*buf, dc.err = p.decodeChunk(ref, last, (*buf)[:0], &dc)
-	if dc.err != nil && p.salvage {
-		dc.bad, dc.err = true, nil
-	}
+	*buf, dc.err = p.chunks.decodeChunk(ref, last, (*buf)[:0], &dc)
 	return dc
 }
 
@@ -208,10 +206,10 @@ func (s *chunkShare) release() {
 	}
 }
 
-// ReplayContext is Replay under a context, with Replayer's cancellation
-// contract: a cancelled context stops the replay with a *vm.CancelError
-// carrying the (first consumer's) instruction count at the interruption
-// point.
+// ReplayContext is Replay under a context: a cancelled or expired
+// context stops the replay with a *vm.CancelError carrying the first
+// consumer's instruction count at the interruption point, mirroring how
+// a live machine surfaces cancellation.
 func (p *ParallelReplayer) ReplayContext(ctx context.Context) error {
 	if p.done {
 		return errors.New("etrace: trace already replayed")
@@ -249,15 +247,16 @@ func (p *ParallelReplayer) ReplayContext(ctx context.Context) error {
 
 	// Coordinator: fan each ordered chunk out to every consumer.  A
 	// chunk that decoded with an error still fans out first — consumers
-	// must apply the records preceding the failure, matching where a
-	// sequential replay stops.  In salvage mode decode damage arrives as
-	// flags instead of errors: the coordinator tallies it (single
-	// goroutine, no races) and the fan-out continues past the damage.
+	// must apply the records preceding the failure, so a strict replay
+	// stops exactly at the first bad record.  In salvage mode decode
+	// damage arrives as flags instead of errors: the coordinator tallies
+	// it (single goroutine, no races) and the fan-out continues past the
+	// damage.
 	var decodeErr error
 	dispatched := 0
 fanout:
 	for d := range out {
-		if p.salvage {
+		if p.report != nil {
 			p.report.ChunksTotal++
 			if d.crcErr {
 				p.report.CRCErrors++
@@ -309,7 +308,7 @@ fanout:
 	for d := range out {
 		recPool.Put(d.recs)
 	}
-	if p.salvage {
+	if p.report != nil {
 		// Hand every consumer the chunk-level tally; apply goroutines are
 		// done, so the merge is race-free.
 		for _, c := range p.consumers {
@@ -476,16 +475,50 @@ func (p *ParallelReplayer) produceParallel(ctx context.Context, out chan<- decod
 	}
 }
 
+// chunkReader reads chunk frames located by index entries: the one
+// place the trace's chunk framing is interpreted.  ParallelReplayer,
+// Verify and Stat all decode through it.
+type chunkReader struct {
+	ra      io.ReaderAt
+	version byte
+	// fromFooter: the index came from a footer, whose per-chunk record
+	// counts must match what decodes (a scanned index carries none).
+	fromFooter bool
+	// salvage absorbs damage into decodedChunk's flags instead of
+	// failing.
+	salvage bool
+}
+
+// walk decodes the chunks in file order, handing fn each chunk's
+// records, whether it closed with the end record, and its decode error;
+// it stops at the first error fn returns.  The records are valid only
+// during the call.
+func (r chunkReader) walk(chunks []ChunkRef, fn func(ref ChunkRef, recs []record, hasEnd bool, err error) error) error {
+	buf := recPool.Get().(*[]record)
+	defer recPool.Put(buf)
+	for i, ref := range chunks {
+		var dc decodedChunk
+		var err error
+		*buf, err = r.decodeChunk(ref, i == len(chunks)-1, (*buf)[:0], &dc)
+		if err := fn(ref, *buf, dc.hasEnd, err); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // decodeChunk reads and decodes one chunk identified by its index entry,
 // appending its records to recs.  The index is never trusted over the
 // bytes: the chunk's own length prefix must agree with the entry, the
 // payload checksum must verify (version >= 2), an end record may close
 // only the final chunk, and a footer entry's record count must match what
-// actually decoded.  In salvage mode (dc non-nil is always true; p.salvage
-// gates it) each of those failures is absorbed into dc's damage flags —
-// keeping exactly the records that are provably sound — instead of
-// returning an error.
-func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, dc *decodedChunk) ([]record, error) {
+// actually decoded.  A strict decode returns the first such failure,
+// with the records parsed before it; a final chunk without an end record
+// fails with errTruncated.  In salvage mode each failure is absorbed
+// into dc's damage flags instead — keeping exactly the records that are
+// provably sound — and the error is always nil.  dc.hasEnd is set in
+// both modes when the chunk closes with the end record.
+func (r chunkReader) decodeChunk(ref ChunkRef, last bool, recs []record, dc *decodedChunk) ([]record, error) {
 	frameBuf := framePool.Get().(*[]byte)
 	defer framePool.Put(frameBuf)
 	frame := *frameBuf
@@ -495,8 +528,8 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 		*frameBuf = frame
 	}
 	frame = frame[:need]
-	if _, err := p.ra.ReadAt(frame, ref.Offset); err != nil {
-		if p.salvage {
+	if _, err := r.ra.ReadAt(frame, ref.Offset); err != nil {
+		if r.salvage {
 			// A short read under a footer index is a truncated file: the
 			// tail chunks the index promises are simply gone.
 			dc.bad, dc.torn = true, true
@@ -506,17 +539,17 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 	}
 	size, n := binary.Uvarint(frame)
 	if n <= 0 || int64(size) != ref.Size || n != uvarintLen(size) {
-		if p.salvage {
+		if r.salvage {
 			dc.bad = true
 			return recs, nil
 		}
 		return recs, errors.New("etrace: index disagrees with chunk boundaries")
 	}
 	payload := frame[n:]
-	checksummed := p.hdr.version >= 2
+	checksummed := r.version >= 2
 	if checksummed {
 		if len(payload) <= crcLen {
-			if p.salvage {
+			if r.salvage {
 				dc.bad = true
 				return recs, nil
 			}
@@ -524,7 +557,7 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 		}
 		body, sum := payload[:len(payload)-crcLen], payload[len(payload)-crcLen:]
 		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
-			if p.salvage {
+			if r.salvage {
 				dc.bad, dc.crcErr = true, true
 				return recs, nil
 			}
@@ -543,7 +576,7 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 		recs = append(recs, record{})
 		rec := &recs[len(recs)-1]
 		if err := cp.parseRecord(rec); err != nil {
-			if p.salvage {
+			if r.salvage {
 				// Keep the sound prefix, drop the half-written slot.
 				recs = recs[:len(recs)-1]
 				dc.bad = true
@@ -552,7 +585,7 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 			return recs, err
 		}
 		if rec.kind == recEnd && !last {
-			if p.salvage {
+			if r.salvage {
 				recs = recs[:len(recs)-1]
 				dc.bad = true
 				return recs, nil
@@ -560,8 +593,8 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 			return recs, errors.New("etrace: data after final chunk (end record mid-trace)")
 		}
 	}
-	if p.index.FromFooter && ref.Records != uint64(len(recs)-base) {
-		if p.salvage {
+	if r.fromFooter && ref.Records != uint64(len(recs)-base) {
+		if r.salvage {
 			if checksummed {
 				// The payload checksum held, so the bytes win over the
 				// index hint: keep the records, flag the footer.
@@ -581,7 +614,7 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 		dc.hasEnd = true
 	}
 	if last && !dc.hasEnd {
-		if p.salvage {
+		if r.salvage {
 			dc.torn = true
 			return recs, nil
 		}

@@ -15,13 +15,13 @@ import (
 	"tquad/internal/wfs"
 )
 
-// coreProfile replays rec through a sequential Replayer with one core
+// coreProfile replays rec sequentially (one decode job) with one core
 // tool attached and returns the serialised profile plus final state.
-func coreProfile(t *testing.T, rec *recorded, includeStack bool) ([]byte, *etrace.Replayer) {
+func coreProfile(t *testing.T, rec *recorded, includeStack bool) ([]byte, *etrace.Consumer) {
 	t.Helper()
-	rp := replayer(t, rec)
+	pr, rp := replayer(t, rec)
 	tool := core.Attach(rp, core.Options{SliceInterval: 10_000, IncludeStack: includeStack})
-	if err := rp.Replay(); err != nil {
+	if err := pr.Replay(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -33,13 +33,13 @@ func coreProfile(t *testing.T, rec *recorded, includeStack bool) ([]byte, *etrac
 
 // TestParallelMatchesSequential: for every worker count and both stack
 // policies, an indexed parallel replay must be byte-identical to the
-// sequential replay — same profile serialisation, same final machine
-// state.
+// inline-decode (Jobs 1) replay — same profile serialisation, same final
+// machine state.
 func TestParallelMatchesSequential(t *testing.T) {
 	rec := record(t)
 	for _, includeStack := range []bool{true, false} {
 		want, seq := coreProfile(t, rec, includeStack)
-		for _, jobs := range []int{1, 2, 4, 0} {
+		for _, jobs := range []int{2, 4, 0} {
 			pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
 				etrace.ParallelOptions{Jobs: jobs})
 			if err != nil {
@@ -100,9 +100,9 @@ func TestParallelFanOut(t *testing.T) {
 		}
 	}
 
-	seqFlatHost := replayer(t, rec)
+	seqPR, seqFlatHost := replayer(t, rec)
 	seqFlat := flatprof.Attach(seqFlatHost, flatprof.Options{})
-	if err := seqFlatHost.Replay(); err != nil {
+	if err := seqPR.Replay(); err != nil {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
@@ -159,7 +159,7 @@ func TestParallelV1Fallback(t *testing.T) {
 }
 
 // TestParallelCancel: a cancelled context stops the replay with a
-// vm.CancelError, like the sequential replayer.
+// vm.CancelError, the way a live machine reports cancellation.
 func TestParallelCancel(t *testing.T) {
 	rec := record(t)
 	pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
@@ -177,8 +177,10 @@ func TestParallelCancel(t *testing.T) {
 	}
 }
 
-// TestParallelProgress mirrors TestReplayOnProgress for the parallel
-// replayer: monotonic heartbeat, never past the recorded count.
+// TestParallelProgress: a registered progress callback receives a
+// monotonic stream of replayed instruction counts, never past the
+// recorded count, with no cancellable context attached — the live
+// dashboard's replay heartbeat.
 func TestParallelProgress(t *testing.T) {
 	rec := record(t)
 	pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
@@ -205,8 +207,7 @@ func TestParallelProgress(t *testing.T) {
 	}
 }
 
-// TestParallelReplayTwiceFails: like the sequential replayer, a parallel
-// replayer is single-use.
+// TestParallelReplayTwiceFails: a replayer is single-use.
 func TestParallelReplayTwiceFails(t *testing.T) {
 	rec := record(t)
 	pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
@@ -224,12 +225,14 @@ func TestParallelReplayTwiceFails(t *testing.T) {
 }
 
 // FuzzIndex drives arbitrary bytes through the indexed parallel pipeline
-// against the sequential decoder.  The contract: never a panic or hang;
-// and whenever the parallel replay succeeds, the sequential replay of
-// the same bytes succeeds with the identical final state.  (The reverse
-// implication does not hold: the parallel decoder additionally rejects
-// non-canonical chunk length prefixes and mid-trace end records that a
-// pure stream decode cannot distinguish.)
+// against the streaming decode oracle (etrace.StreamReplay), which walks
+// chunk frames by their length prefixes and never reads the index.  The
+// contract: never a panic or hang; and whenever the indexed replay
+// succeeds, the streaming replay of the same bytes succeeds with the
+// identical final state.  (The reverse implication does not hold: the
+// indexed decoder additionally rejects non-canonical chunk length
+// prefixes and mid-trace end records that a pure stream decode cannot
+// distinguish.)
 func FuzzIndex(f *testing.F) {
 	w, err := wfs.NewWorkload(wfs.Small())
 	if err != nil {
@@ -255,17 +258,14 @@ func FuzzIndex(f *testing.F) {
 		if pr.Replay() != nil {
 			return
 		}
-		// Parallel accepted the input: sequential must agree exactly.
-		rp, err := etrace.NewReplayer(bytes.NewReader(b))
+		// The index accepted the input: the stream decode must agree.
+		rp, err := etrace.StreamReplay(b)
 		if err != nil {
-			t.Fatalf("parallel replay succeeded, sequential open failed: %v", err)
-		}
-		if err := rp.Replay(); err != nil {
-			t.Fatalf("parallel replay succeeded, sequential replay failed: %v", err)
+			t.Fatalf("indexed replay succeeded, streaming replay failed: %v", err)
 		}
 		if par.ICount() != rp.ICount() || par.ExitCode() != rp.ExitCode() ||
 			par.Halted() != rp.Halted() || par.MemStats() != rp.MemStats() {
-			t.Fatal("parallel and sequential replays disagree on final state")
+			t.Fatal("indexed and streaming replays disagree on final state")
 		}
 	})
 }

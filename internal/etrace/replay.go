@@ -2,7 +2,6 @@ package etrace
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -196,49 +195,22 @@ func (p *chunkParser) delta(prev *uint64) (uint64, error) {
 	return v, nil
 }
 
-// decoder streams records out of a chunked trace: a sequential refill
-// loop over chunk frames feeding one chunkParser.
-type decoder struct {
-	r       *bufio.Reader
-	p       chunkParser
-	buf     []byte // chunk payload, capacity reused across refills
-	version byte
-
-	chunks int
-	ended  bool
-
-	// salvage switches the refill loop from fail-closed to fail-soft:
-	// damaged chunks are skipped (delta chains reset at the next chunk
-	// boundary) and tallied in report instead of stopping the stream.
-	// Sequential salvage cannot re-synchronise past framing damage — a
-	// broken length prefix ends the stream as a torn tail; only the
-	// indexed parallel replayer can skip over it.
-	salvage bool
-	report  *SalvageReport
-
-	// footer holds the trace's index when the stream carried one; nil
-	// for footer-less v1 traces.  Populated once the end record has been
-	// read and the trailing bytes validated.
-	footer *Index
-}
-
-func newDecoder(r io.Reader) *decoder {
-	return &decoder{r: bufio.NewReaderSize(r, 64<<10)}
-}
-
-// crcReader hashes exactly the bytes the header parse consumes from the
-// buffered reader.  A tee below the bufio.Reader would hash read-ahead
-// bytes past the header; consuming through this wrapper keeps the sum
-// aligned with the parse position, so the header checksum can be checked
-// the moment the stream crosses it.
+// crcReader hashes and counts exactly the bytes the header parse
+// consumes from the buffered reader.  A tee below the bufio.Reader would
+// hash read-ahead bytes past the header; consuming through this wrapper
+// keeps the sum aligned with the parse position, so the header checksum
+// can be checked the moment the parse crosses it, and the count locates
+// the first chunk.
 type crcReader struct {
 	r   *bufio.Reader
 	crc uint32
+	n   int64
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	c.n += int64(n)
 	return n, err
 }
 
@@ -249,58 +221,60 @@ func (c *crcReader) ReadByte() (byte, error) {
 	}
 	one := [1]byte{b}
 	c.crc = crc32.Update(c.crc, castagnoli, one[:])
+	c.n++
 	return b, nil
 }
 
-// readHeader parses and validates the preamble.  Header damage is always
-// fatal — there is no salvaging a trace whose routine table cannot be
-// trusted.
-func (d *decoder) readHeader() (header, error) {
+// readHeader parses and validates the preamble of the size-byte trace in
+// ra and returns it with the file offset of the first chunk.  Header
+// damage is always fatal — there is no salvaging a trace whose routine
+// table cannot be trusted.
+func readHeader(ra io.ReaderAt, size int64) (header, int64, error) {
 	var hdr header
-	hr := &crcReader{r: d.r}
+	hr := &crcReader{r: bufio.NewReader(io.NewSectionReader(ra, 0, size))}
 	pre := make([]byte, len(magic)+1)
 	if _, err := io.ReadFull(hr, pre); err != nil {
-		return hdr, fmt.Errorf("etrace: short header: %w", err)
+		return hdr, 0, fmt.Errorf("etrace: short header: %w", err)
 	}
 	if string(pre[:len(magic)]) != magic {
-		return hdr, fmt.Errorf("etrace: bad magic %q", pre[:len(magic)])
+		return hdr, 0, fmt.Errorf("etrace: bad magic %q", pre[:len(magic)])
 	}
 	hdr.version = pre[len(magic)]
 	if hdr.version < versionPlain || hdr.version > Version {
-		return hdr, fmt.Errorf("etrace: unsupported version %d (want %d..%d)", hdr.version, versionPlain, Version)
+		return hdr, 0, fmt.Errorf("etrace: unsupported version %d (want %d..%d)", hdr.version, versionPlain, Version)
 	}
 	var err error
 	if hdr.stackBase, err = binary.ReadUvarint(hr); err != nil {
-		return hdr, fmt.Errorf("etrace: header stack base: %w", err)
+		return hdr, 0, fmt.Errorf("etrace: header stack base: %w", err)
 	}
 	if hdr.workload, err = readString(hr, maxNameLen); err != nil {
-		return hdr, fmt.Errorf("etrace: header workload: %w", err)
+		return hdr, 0, fmt.Errorf("etrace: header workload: %w", err)
 	}
 	n, err := binary.ReadUvarint(hr)
 	if err != nil {
-		return hdr, fmt.Errorf("etrace: header routine count: %w", err)
+		return hdr, 0, fmt.Errorf("etrace: header routine count: %w", err)
 	}
 	if n > maxRoutines {
-		return hdr, fmt.Errorf("etrace: routine count %d exceeds cap", n)
+		return hdr, 0, fmt.Errorf("etrace: routine count %d exceeds cap", n)
 	}
 	hdr.routines = make([]Routine, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var rt Routine
 		if rt.Name, err = readString(hr, maxNameLen); err != nil {
-			return hdr, fmt.Errorf("etrace: routine %d name: %w", i, err)
+			return hdr, 0, fmt.Errorf("etrace: routine %d name: %w", i, err)
 		}
 		if rt.Entry, err = binary.ReadUvarint(hr); err != nil {
-			return hdr, fmt.Errorf("etrace: routine %d entry: %w", i, err)
+			return hdr, 0, fmt.Errorf("etrace: routine %d entry: %w", i, err)
 		}
 		if rt.End, err = binary.ReadUvarint(hr); err != nil {
-			return hdr, fmt.Errorf("etrace: routine %d end: %w", i, err)
+			return hdr, 0, fmt.Errorf("etrace: routine %d end: %w", i, err)
 		}
 		flags, err := hr.ReadByte()
 		if err != nil {
-			return hdr, fmt.Errorf("etrace: routine %d flags: %w", i, err)
+			return hdr, 0, fmt.Errorf("etrace: routine %d flags: %w", i, err)
 		}
 		if rt.End <= rt.Entry {
-			return hdr, fmt.Errorf("etrace: routine %q has empty range [%#x,%#x)", rt.Name, rt.Entry, rt.End)
+			return hdr, 0, fmt.Errorf("etrace: routine %q has empty range [%#x,%#x)", rt.Name, rt.Entry, rt.End)
 		}
 		rt.Main = flags&1 != 0
 		hdr.routines = append(hdr.routines, rt)
@@ -308,20 +282,20 @@ func (d *decoder) readHeader() (header, error) {
 	if !sort.SliceIsSorted(hdr.routines, func(i, j int) bool {
 		return hdr.routines[i].Entry < hdr.routines[j].Entry
 	}) {
-		return hdr, errors.New("etrace: routine table not sorted by entry")
+		return hdr, 0, errors.New("etrace: routine table not sorted by entry")
 	}
 	if hdr.version >= 2 {
 		want := hr.crc // checksum of every header byte parsed above
 		var sum [crcLen]byte
-		if _, err := io.ReadFull(d.r, sum[:]); err != nil {
-			return hdr, fmt.Errorf("etrace: header checksum: %w", err)
+		if _, err := io.ReadFull(hr.r, sum[:]); err != nil {
+			return hdr, 0, fmt.Errorf("etrace: header checksum: %w", err)
 		}
 		if binary.LittleEndian.Uint32(sum[:]) != want {
-			return hdr, errors.New("etrace: header checksum mismatch")
+			return hdr, 0, errors.New("etrace: header checksum mismatch")
 		}
+		hr.n += crcLen
 	}
-	d.version = hdr.version
-	return hdr, nil
+	return hdr, hr.n, nil
 }
 
 // byteScanner is the reader shape the header parse needs: streaming reads
@@ -346,130 +320,8 @@ func readString(r byteScanner, cap uint64) (string, error) {
 	return string(b), nil
 }
 
-// errTruncated marks a stream that stops before its end record.
+// errTruncated marks a trace that stops before its end record.
 var errTruncated = errors.New("etrace: truncated trace (no end record)")
-
-// next returns the next record.  After the end record it returns io.EOF;
-// a stream that runs dry without one fails with errTruncated.  In salvage
-// mode, damaged chunks are skipped and counted instead: checksum failures
-// drop the whole chunk, a mid-chunk parse error drops the chunk's
-// remainder (the prefix was already delivered), and framing damage or
-// truncation ends the stream as a torn tail with a clean io.EOF.
-func (d *decoder) next() (record, error) {
-	var rec record
-	if d.ended {
-		return rec, io.EOF
-	}
-	for {
-		for d.p.done() {
-			n, err := binary.ReadUvarint(d.r)
-			if err != nil {
-				if err == io.EOF {
-					if d.salvage {
-						d.report.TornTail = true
-						return rec, io.EOF
-					}
-					return rec, errTruncated
-				}
-				if d.salvage {
-					d.report.TornTail = true
-					return rec, io.EOF
-				}
-				return rec, fmt.Errorf("etrace: chunk length: %w", err)
-			}
-			if n == 0 || n > maxChunkLen || (d.version >= 2 && n <= crcLen) {
-				if d.salvage {
-					d.report.TornTail = true
-					return rec, io.EOF
-				}
-				return rec, fmt.Errorf("etrace: bad chunk length %d", n)
-			}
-			if uint64(cap(d.buf)) < n {
-				d.buf = make([]byte, n)
-			}
-			d.buf = d.buf[:n]
-			if _, err := io.ReadFull(d.r, d.buf); err != nil {
-				if d.salvage {
-					d.report.TornTail = true
-					return rec, io.EOF
-				}
-				return rec, fmt.Errorf("etrace: short chunk: %w", err)
-			}
-			d.chunks++
-			if d.salvage {
-				d.report.ChunksTotal++
-			}
-			payload := d.buf
-			if d.version >= 2 {
-				body, sum := payload[:len(payload)-crcLen], payload[len(payload)-crcLen:]
-				if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
-					if d.salvage {
-						d.report.CRCErrors++
-						d.report.ChunksBad++
-						continue // the frame was consumed; skip its records
-					}
-					return rec, fmt.Errorf("etrace: chunk %d checksum mismatch", d.chunks-1)
-				}
-				payload = body
-			}
-			d.p.reset(payload)
-		}
-		if err := d.p.parseRecord(&rec); err != nil {
-			if d.salvage {
-				// The records before the failure were already delivered;
-				// drop the chunk's remainder and resume at the next chunk,
-				// where every delta chain resets.
-				d.p.reset(nil)
-				d.report.ChunksBad++
-				continue
-			}
-			return rec, err
-		}
-		break
-	}
-	if rec.kind == recEnd {
-		if err := d.readTrailing(); err != nil {
-			if !d.salvage {
-				return rec, err
-			}
-			d.report.FooterDamaged = true
-		}
-		if d.salvage {
-			d.report.Complete = true
-		}
-		d.ended = true
-	}
-	return rec, nil
-}
-
-// readTrailing validates whatever follows the final chunk: nothing (a
-// footer-less v1 trace) or a well-formed index footer whose chunk table
-// matches what was just decoded.  Anything else is an error — trailing
-// garbage must not pass for a clean trace.
-func (d *decoder) readTrailing() error {
-	if _, err := d.r.Peek(1); err != nil {
-		if err == io.EOF {
-			return nil
-		}
-		return fmt.Errorf("etrace: read after final chunk: %w", err)
-	}
-	b, err := io.ReadAll(io.LimitReader(d.r, maxFooterLen+trailerLen+1))
-	if err != nil {
-		return fmt.Errorf("etrace: read after final chunk: %w", err)
-	}
-	if len(b) > maxFooterLen+trailerLen {
-		return errors.New("etrace: data after final chunk (oversized index footer)")
-	}
-	chunks, err := parseFooter(b)
-	if err != nil {
-		return fmt.Errorf("etrace: data after final chunk (%s)", err)
-	}
-	if len(chunks) != d.chunks {
-		return fmt.Errorf("etrace: index lists %d chunks, stream had %d", len(chunks), d.chunks)
-	}
-	d.footer = &Index{Chunks: chunks, FromFooter: true}
-	return nil
-}
 
 // site is one compiled static instruction during replay.
 type site struct {
@@ -485,8 +337,8 @@ const denseSiteSpan = 1 << 22 // instructions
 // Consumer is one pin.Host fed from a replayed record stream.  It holds
 // everything per-tool-stack: the instrumentation callbacks, the code
 // cache of compiled sites, and the replayed machine state (instruction
-// count, memory counters, exit status).  A sequential Replayer embeds
-// exactly one; a ParallelReplayer fans one decode pass out to many.
+// count, memory counters, exit status).  A ParallelReplayer fans one
+// decode pass out to any number of them.
 type Consumer struct {
 	hdr header
 
@@ -791,115 +643,6 @@ func (c *Consumer) PublishMetrics(reg *obs.Registry) {
 // SalvageReport returns the damage tally of a salvage replay, or nil when
 // the consumer replays strictly.  Complete only after the replay.
 func (c *Consumer) SalvageReport() *SalvageReport { return c.salvage }
-
-// Replayer drives profiling tools from a recorded event trace,
-// sequentially.  It implements pin.Host (via its embedded Consumer): the
-// tools' Attach functions run against it unchanged, their
-// instrumentation callbacks fire when static records stream in (the
-// code-cache fill), and their analysis routines fire per dynamic record
-// — no vm.Machine is ever constructed.
-type Replayer struct {
-	*Consumer
-
-	d        *decoder
-	progress func(ic uint64)
-	done     bool
-}
-
-var _ pin.Host = (*Replayer)(nil)
-
-// NewReplayer reads the trace header and prepares a replay.  Attach
-// tools, then call Replay.
-func NewReplayer(r io.Reader) (*Replayer, error) {
-	d := newDecoder(r)
-	hdr, err := d.readHeader()
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	return &Replayer{Consumer: newConsumer(hdr), d: d}, nil
-}
-
-// NewSalvageReplayer is NewReplayer in fail-soft mode: damaged chunks are
-// skipped and tallied (see SalvageReport) instead of stopping the replay.
-// Header damage is still fatal — such a trace is unreadable, not
-// salvageable.  Sequential salvage cannot re-synchronise past framing
-// damage (a broken chunk length prefix); the indexed ParallelReplayer
-// with ParallelOptions.Salvage can.
-func NewSalvageReplayer(r io.Reader) (*Replayer, error) {
-	rep, err := NewReplayer(r)
-	if err != nil {
-		return nil, err
-	}
-	rep.d.salvage = true
-	rep.d.report = new(SalvageReport)
-	rep.Consumer.salvage = rep.d.report
-	return rep, nil
-}
-
-// OnProgress registers a heartbeat callback invoked with the replayed
-// instruction count every cancelCheckStride records — the same stride
-// (and the same loop position) as the context poll, so progress costs
-// nothing on the per-record hot path and nothing at all when no callback
-// is registered.
-func (r *Replayer) OnProgress(fn func(ic uint64)) { r.progress = fn }
-
-// Replay streams the trace, compiling static records through the
-// registered instrumentation callbacks and dispatching dynamic records
-// to the attached analysis routines.  It may be called once.
-func (r *Replayer) Replay() error { return r.ReplayContext(context.Background()) }
-
-// cancelCheckStride is how many replayed records go between context
-// polls — frequent enough that a cancelled sweep stops its replays
-// within microseconds, rare enough to stay off the per-record hot path.
-const cancelCheckStride = 1 << 14
-
-// ReplayContext is Replay under a context: a cancelled or expired
-// context stops the replay with a *vm.CancelError carrying the replayed
-// instruction count at the interruption point, mirroring how a live
-// machine surfaces cancellation.  A context without a Done channel costs
-// nothing.
-func (r *Replayer) ReplayContext(ctx context.Context) error {
-	if r.done {
-		return errors.New("etrace: trace already replayed")
-	}
-	r.done = true
-	done := ctx.Done()
-	var n uint64
-	for {
-		if done != nil || r.progress != nil {
-			if n++; n%cancelCheckStride == 0 {
-				if done != nil {
-					select {
-					case <-done:
-						return &vm.CancelError{PC: r.pc, ICount: r.ic, Cause: ctx.Err()}
-					default:
-					}
-				}
-				if r.progress != nil {
-					r.progress(r.ic)
-				}
-			}
-		}
-		rec, err := r.d.next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return corrupt(err)
-		}
-		if err := r.apply(&rec); err != nil {
-			if r.d.salvage {
-				// A record that decodes but cannot apply (a dangling block
-				// id, an event before its static record — typical fallout
-				// of an earlier skipped chunk) is dropped and counted; no
-				// apply path mutates state before failing.
-				r.Consumer.salvage.RecordsDropped++
-				continue
-			}
-			return corrupt(err)
-		}
-	}
-}
 
 func classOf(size int) int {
 	for i, s := range vm.MemSizeClasses {

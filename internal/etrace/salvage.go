@@ -15,8 +15,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"strings"
 
 	"tquad/internal/vm"
 )
@@ -181,84 +181,35 @@ func (h *Health) Damaged() bool {
 // (nothing downstream can be trusted); all other damage is reported in
 // the Health.
 func Verify(ra io.ReaderAt, size int64) (*Health, error) {
-	cr := &countingReader{r: io.NewSectionReader(ra, 0, size)}
-	d := newDecoder(cr)
-	hdr, err := d.readHeader()
+	hdr, start, err := readHeader(ra, size)
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	headerEnd := cr.n - int64(d.r.Buffered())
 	h := &Health{Version: int(hdr.version), Checksummed: hdr.version >= 2}
-
-	dataEnd := size
 	idx, err := ReadIndex(ra, size)
 	switch {
 	case err != nil:
 		h.IndexErr = err.Error()
 	case idx != nil:
 		h.Indexed = true
-		dataEnd = idx.DataEnd
 	}
 	if !h.Indexed {
 		// No trusted footer: find the data end by scanning frames forward.
-		var lost int64
-		idx, lost = salvageScanIndex(ra, headerEnd, dataEnd)
-		h.LostTailBytes = lost
+		idx, h.LostTailBytes = salvageScanIndex(ra, start, size)
 	}
 
-	sawEnd := false
-	for i, ref := range idx.Chunks {
+	cr := chunkReader{ra: ra, version: hdr.version, fromFooter: idx.FromFooter}
+	cr.walk(idx.Chunks, func(ref ChunkRef, _ []record, hasEnd bool, err error) error {
 		st := ChunkStatus{Ref: ref}
-		last := i == len(idx.Chunks)-1
-		if err := verifyChunk(ra, ref, hdr.version, last, &sawEnd); err != nil {
-			st.Err = err.Error()
+		// A missing end record makes the trace incomplete; it is not
+		// damage to the final chunk.
+		if err != nil && !errors.Is(err, errTruncated) {
+			st.Err = strings.TrimPrefix(err.Error(), "etrace: ")
 			h.Bad++
 		}
+		h.Complete = hasEnd
 		h.Chunks = append(h.Chunks, st)
-	}
-	h.Complete = sawEnd
+		return nil
+	})
 	return h, nil
-}
-
-// verifyChunk checks one chunk's framing, checksum, and record stream.
-func verifyChunk(ra io.ReaderAt, ref ChunkRef, version byte, last bool, sawEnd *bool) error {
-	frame := make([]byte, ref.frameLen())
-	if _, err := ra.ReadAt(frame, ref.Offset); err != nil {
-		return fmt.Errorf("read: %v", err)
-	}
-	size, n := binary.Uvarint(frame)
-	if n <= 0 || int64(size) != ref.Size || n != uvarintLen(size) {
-		return errors.New("length prefix disagrees with index")
-	}
-	payload := frame[n:]
-	if version >= 2 {
-		if len(payload) <= crcLen {
-			return errors.New("chunk too short for checksum")
-		}
-		body, sum := payload[:len(payload)-crcLen], payload[len(payload)-crcLen:]
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
-			return errors.New("checksum mismatch")
-		}
-		payload = body
-	}
-	var cp chunkParser
-	cp.reset(payload)
-	var rec record
-	records := uint64(0)
-	for !cp.done() {
-		if err := cp.parseRecord(&rec); err != nil {
-			return fmt.Errorf("record %d: %v", records, err)
-		}
-		records++
-		if rec.kind == recEnd {
-			if !last {
-				return errors.New("end record mid-trace")
-			}
-			*sawEnd = true
-		}
-	}
-	if ref.Records != 0 && ref.Records != records {
-		return fmt.Errorf("index lists %d records, chunk decoded %d", ref.Records, records)
-	}
-	return nil
 }

@@ -1,6 +1,9 @@
 package etrace
 
-import "io"
+import (
+	"errors"
+	"io"
+)
 
 // Info summarises one trace file without replaying it through any tools
 // (the tqdump inspector's view).
@@ -34,12 +37,14 @@ type Info struct {
 	Halted      bool
 }
 
-// Stat scans a trace and returns its summary.  A trace that decodes
-// cleanly but stops before its end record is reported with Complete
-// false rather than as an error, so partial recordings stay inspectable.
-func Stat(rd io.Reader) (*Info, error) {
-	d := newDecoder(rd)
-	hdr, err := d.readHeader()
+// Stat summarises the size-byte trace in ra by decoding every chunk its
+// index lists — the footer's, or one rebuilt by a frame scan — without
+// applying a record to any tool.  A trace that decodes cleanly but stops
+// before its end record (cut at a chunk boundary) is reported with
+// Complete false rather than as an error, so partial recordings stay
+// inspectable.
+func Stat(ra io.ReaderAt, size int64) (*Info, error) {
+	hdr, start, err := readHeader(ra, size)
 	if err != nil {
 		return nil, err
 	}
@@ -50,49 +55,65 @@ func Stat(rd io.Reader) (*Info, error) {
 		StackBase:   hdr.stackBase,
 		Routines:    hdr.routines,
 	}
-	for {
-		rec, err := d.next()
-		if err == io.EOF || err == errTruncated {
-			info.Chunks = d.chunks
-			if d.footer != nil {
-				info.Indexed = true
-				info.IndexChunks = len(d.footer.Chunks)
-			}
-			return info, nil
+	idx, _, err := locateChunks(ra, hdr.version, start, size, false)
+	if errors.Is(err, errTruncated) {
+		return info, nil // header only: no chunk was ever flushed
+	}
+	if err != nil {
+		return nil, err
+	}
+	if idx.FromFooter {
+		info.Indexed = true
+		info.IndexChunks = len(idx.Chunks)
+	}
+	cr := chunkReader{ra: ra, version: hdr.version, fromFooter: idx.FromFooter}
+	err = cr.walk(idx.Chunks, func(_ ChunkRef, recs []record, _ bool, err error) error {
+		if err != nil && !errors.Is(err, errTruncated) {
+			return err
 		}
-		if err != nil {
-			return nil, err
+		info.Chunks++
+		for i := range recs {
+			info.count(&recs[i])
 		}
-		switch rec.kind {
-		case recStatic:
-			info.Statics++
-		case recRead:
-			info.Reads++
-		case recWrite:
-			info.Writes++
-		case recCall:
-			info.Calls++
-		case recReturn:
-			info.Returns++
-		case recBlockDef:
-			info.BlockDefs++
-		case recBlock:
-			info.Blocks++
-		case recEnd:
-			info.Complete = true
-			info.FinalICount = rec.ic
-			info.FinalPC = rec.pc
-			info.ExitCode = rec.exitCode
-			info.Halted = rec.halted
-		}
-		// Only executable event kinds carry the skipped flag; a hostile
-		// tag smuggling it onto an end or block record must not inflate
-		// the tally.
-		switch rec.kind {
-		case recRead, recWrite, recCall, recReturn:
-			if !rec.executed {
-				info.Skipped++
-			}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return info, nil
+}
+
+// count tallies one decoded record.
+func (info *Info) count(rec *record) {
+	switch rec.kind {
+	case recStatic:
+		info.Statics++
+	case recRead:
+		info.Reads++
+	case recWrite:
+		info.Writes++
+	case recCall:
+		info.Calls++
+	case recReturn:
+		info.Returns++
+	case recBlockDef:
+		info.BlockDefs++
+	case recBlock:
+		info.Blocks++
+	case recEnd:
+		info.Complete = true
+		info.FinalICount = rec.ic
+		info.FinalPC = rec.pc
+		info.ExitCode = rec.exitCode
+		info.Halted = rec.halted
+	}
+	// Only executable event kinds carry the skipped flag; a hostile tag
+	// smuggling it onto an end or block record must not inflate the
+	// tally.
+	switch rec.kind {
+	case recRead, recWrite, recCall, recReturn:
+		if !rec.executed {
+			info.Skipped++
 		}
 	}
 }

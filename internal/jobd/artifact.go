@@ -1,8 +1,9 @@
 // The content-addressed artifact store: every stored file lives at
 // artifacts/<aa>/<sha256-hex> (first byte of the digest as a fan-out
-// directory), written to a temp name, fsynced and renamed into place —
-// so a path is only ever visible with its full, digest-matching
-// content, and identical artifacts from different jobs share one copy.
+// directory), written to a temp name, fsynced, renamed into place and
+// the directory fsynced — so a path is only ever visible with its full,
+// digest-matching content, and identical artifacts from different jobs
+// share one copy.
 // Jobs reference artifacts by (name, digest); deleting a job's metadata
 // never corrupts another job's downloads.
 package jobd
@@ -16,6 +17,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"tquad/internal/durable"
 )
 
 // ArtifactStore is the content-addressed blob store under a data
@@ -78,6 +81,12 @@ func (as *ArtifactStore) put(name string, r io.Reader) (Artifact, error) {
 		return Artifact{}, fmt.Errorf("jobd: artifacts: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), final); err != nil {
+		return Artifact{}, fmt.Errorf("jobd: artifacts: %w", err)
+	}
+	// The rename is durable only once the fan-out directory is synced;
+	// until then a power cut could drop a blob the job journal already
+	// references.
+	if err := durable.SyncDir(filepath.Dir(final)); err != nil {
 		return Artifact{}, fmt.Errorf("jobd: artifacts: %w", err)
 	}
 	return Artifact{Name: name, Digest: digest, Size: size}, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,6 +122,55 @@ func TestStoreReplayResumesRunningAndSkipsTornLine(t *testing.T) {
 	}
 	if j3.ID <= j2.ID {
 		t.Fatalf("ID went backwards: %s after %s", j3.ID, j2.ID)
+	}
+}
+
+// TestStoreDoubleCrashKeepsAppendAfterTornLine: crash mid-append (torn
+// line), boot, submit, crash again, boot — the submit acknowledged
+// after the first recovery must survive the second boot, not be glued
+// onto the torn fragment and lost.
+func TestStoreDoubleCrashKeepsAppendAfterTornLine(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{}
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, err := st.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	f, err := os.OpenFile(filepath.Join(dir, "jobs.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"op":"submit","job":"j0002","sp`)
+	f.Close()
+
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatalf("boot after torn write: %v", err)
+	}
+	j2, err := st2.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Close() // the second crash: nothing beyond the fsynced journal survives
+
+	st3, err := OpenStore(dir)
+	if err != nil {
+		t.Fatalf("second boot: %v", err)
+	}
+	defer st3.Close()
+	for _, id := range []string{j1.ID, j2.ID} {
+		if _, ok := st3.Get(id); !ok {
+			t.Errorf("job %s lost across two boots; jobs now %v", id, st3.Jobs())
+		}
 	}
 }
 
@@ -241,4 +292,32 @@ func waitState(t *testing.T, d *Daemon, id, state string) {
 	}
 	j, _ := d.Job(id)
 	t.Fatalf("job %s never reached %s (state %s, err %q)", id, state, j.State, j.Error)
+}
+
+// TestSubmitRejectsOversizedBody: a POST /api/jobs body past the spec
+// bound is refused with 413 and journals nothing, while a small
+// malformed spec still gets 400.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	d, err := New(Options{DataDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	h := (&Server{d: d}).mux()
+
+	big := `{"config":"small","kernels":"` + strings.Repeat("x", 2*maxSpecBytes) + `"}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/jobs", strings.NewReader(big)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized spec was journalled: %+v", jobs)
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/jobs", strings.NewReader(`{"config":"nope"}`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("bad small spec: status %d, want 400", rec.Code)
+	}
 }

@@ -15,6 +15,7 @@ package jobd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html"
 	"io"
@@ -25,6 +26,14 @@ import (
 	"time"
 
 	"tquad/internal/obs/live"
+)
+
+// Input bounds: a client that trickles its request headers is cut off
+// after readHeaderTimeout, and a job spec body past maxSpecBytes is
+// refused with 413 before it is decoded.
+const (
+	readHeaderTimeout = 10 * time.Second
+	maxSpecBytes      = 1 << 20
 )
 
 // Server serves one Daemon over HTTP.
@@ -42,7 +51,7 @@ func Serve(d *Daemon, addr string) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{d: d, ln: ln}
-	s.h = &http.Server{Handler: s.mux()}
+	s.h = &http.Server{Handler: s.mux(), ReadHeaderTimeout: readHeaderTimeout}
 	go s.h.Serve(ln)
 	return s, nil
 }
@@ -94,10 +103,15 @@ func statusFor(err error) int {
 
 func (s *Server) apiSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil && err != io.EOF {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("jobd: bad spec: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("jobd: bad spec: %w", err))
 		return
 	}
 	job, err := s.d.Submit(spec)

@@ -1,9 +1,10 @@
 // The durable job store: an append-only JSONL journal (jobs.jsonl in
 // the data directory), fsynced after every record and replayed on boot
 // into the in-memory job table.  The same crash-safety posture as the
-// sweep checkpoint's done.jsonl: a torn final line — the process died
-// inside a write — fails to parse and is skipped, so the worst outcome
-// of a kill is losing the one transition that was mid-write.  A job
+// sweep checkpoint's done.jsonl (both are durable.Journals): a torn
+// final line — the process died inside a write — is cut off at boot, so
+// the worst outcome of a kill is losing the one transition that was
+// mid-write, never one acknowledged after recovery.  A job
 // whose journal ends in the running state was interrupted; boot
 // re-queues it (Resumed=true) and its sweep resumes through its
 // checkpoint directory with zero guest re-execution.
@@ -16,13 +17,14 @@
 package jobd
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"tquad/internal/durable"
 )
 
 // journal ops, one per state transition.
@@ -54,11 +56,11 @@ type journalRecord struct {
 type Store struct {
 	dir string
 
-	mu     sync.Mutex
-	f      *os.File // jobs.jsonl, append-only; nil once closed
-	jobs   map[string]*Job
-	order  []string // submission order
-	nextID int
+	mu      sync.Mutex
+	journal *durable.Journal // jobs.jsonl
+	jobs    map[string]*Job
+	order   []string // submission order
+	nextID  int
 }
 
 // OpenStore opens (creating if needed) the data directory and replays
@@ -70,22 +72,17 @@ func OpenStore(dir string) (*Store, error) {
 			return nil, fmt.Errorf("jobd: store: %w", err)
 		}
 	}
-	st := &Store{dir: dir, jobs: make(map[string]*Job)}
-	path := filepath.Join(dir, "jobs.jsonl")
-	if b, err := os.ReadFile(path); err == nil {
-		for _, line := range bytes.Split(b, []byte("\n")) {
-			line = bytes.TrimSpace(line)
-			if len(line) == 0 {
-				continue
-			}
-			var rec journalRecord
-			if json.Unmarshal(line, &rec) != nil {
-				continue // torn tail from a mid-write kill
-			}
-			st.apply(&rec)
-		}
-	} else if !os.IsNotExist(err) {
+	journal, lines, err := durable.OpenJournal(filepath.Join(dir, "jobs.jsonl"))
+	if err != nil {
 		return nil, fmt.Errorf("jobd: store: %w", err)
+	}
+	st := &Store{dir: dir, journal: journal, jobs: make(map[string]*Job)}
+	for _, line := range lines {
+		var rec journalRecord
+		if json.Unmarshal(line, &rec) != nil {
+			continue // damaged line: skip, as for unknown ops
+		}
+		st.apply(&rec)
 	}
 	// Interrupted jobs resume: back to the queue, in submission order.
 	for _, id := range st.order {
@@ -103,11 +100,6 @@ func OpenStore(dir string) (*Store, error) {
 			st.nextID = n
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobd: store: %w", err)
-	}
-	st.f = f
 	return st, nil
 }
 
@@ -159,17 +151,7 @@ func (st *Store) append(rec *journalRecord) error {
 	rec.Time = time.Now().UTC()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.f == nil {
-		return fmt.Errorf("jobd: store closed")
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := st.f.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	if err := st.f.Sync(); err != nil {
+	if err := st.journal.Append(rec); err != nil {
 		return err
 	}
 	st.apply(rec)
@@ -181,12 +163,7 @@ func (st *Store) append(rec *journalRecord) error {
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.f == nil {
-		return nil
-	}
-	err := st.f.Close()
-	st.f = nil
-	return err
+	return st.journal.Close()
 }
 
 // Dir returns the data directory.

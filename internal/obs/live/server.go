@@ -86,7 +86,9 @@ func Serve(addr string, o Options) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux}
+	// A client that trickles its request headers is cut off rather than
+	// holding a connection open indefinitely.
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go s.srv.Serve(ln)
 	return s, nil
 }

@@ -236,12 +236,13 @@ func compareQUAD(t testing.TB, prog *hl.Program, opts quad.Options) {
 	}
 	ref := quadRun{oracle.Report(), m.Overhead}
 
-	rp, err := etrace.NewReplayer(bytes.NewReader(trace.Bytes()))
+	pr, err := etrace.NewParallelReplayer(bytes.NewReader(trace.Bytes()), int64(trace.Len()), etrace.ParallelOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rp := pr.NewConsumer()
 	replayed := quad.Attach(rp, opts)
-	if err := rp.Replay(); err != nil {
+	if err := pr.Replay(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	replay := quadRun{replayed.Report(), rp.Overhead()}

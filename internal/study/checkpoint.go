@@ -8,15 +8,14 @@
 // end record — and completed configurations replay from it cheaply.
 //
 // Crash safety is append-only-with-rename: a torn final line in
-// done.jsonl (the process died inside the write) fails to parse and is
-// ignored, so the worst outcome of a kill is re-running one
-// configuration; a trace is only visible under its final name once
-// fully written, so a partial recording can never be mistaken for a
-// checkpoint hit.
+// done.jsonl (the process died inside the write) is cut off when the
+// journal reopens (durable.OpenJournal), so the worst outcome of a kill
+// is re-running one configuration; a trace is only visible under its
+// final name once fully written and its directory synced, so a partial
+// recording can never be mistaken for a checkpoint hit.
 package study
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,7 +24,7 @@ import (
 	"sort"
 	"sync"
 
-	"tquad/internal/etrace"
+	"tquad/internal/durable"
 )
 
 // doneFile is the journal of completed run keys inside a checkpoint
@@ -47,40 +46,30 @@ type doneEntry struct {
 type Checkpoint struct {
 	dir string
 
-	mu   sync.Mutex
-	done map[string]doneEntry
-	f    *os.File // done.jsonl, append-only
+	mu      sync.Mutex
+	done    map[string]doneEntry
+	journal *durable.Journal // done.jsonl
 }
 
 // OpenCheckpoint opens (creating if needed) the journal directory and
-// loads the set of already-completed run keys.  Unparseable lines —
-// e.g. a line torn by a mid-write kill — are skipped, which simply
-// re-runs the affected configuration.
+// loads the set of already-completed run keys.  A line torn by a
+// mid-write kill is cut off, and any other unparseable line skipped,
+// which simply re-runs the affected configuration.
 func OpenCheckpoint(dir string) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("study: checkpoint: %w", err)
 	}
-	c := &Checkpoint{dir: dir, done: make(map[string]doneEntry)}
-	path := filepath.Join(dir, doneFile)
-	if b, err := os.ReadFile(path); err == nil {
-		for _, line := range bytes.Split(b, []byte("\n")) {
-			line = bytes.TrimSpace(line)
-			if len(line) == 0 {
-				continue
-			}
-			var e doneEntry
-			if json.Unmarshal(line, &e) == nil && e.Key != "" {
-				c.done[e.Key] = e
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("study: checkpoint: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	journal, lines, err := durable.OpenJournal(filepath.Join(dir, doneFile))
 	if err != nil {
 		return nil, fmt.Errorf("study: checkpoint: %w", err)
 	}
-	c.f = f
+	c := &Checkpoint{dir: dir, done: make(map[string]doneEntry), journal: journal}
+	for _, line := range lines {
+		var e doneEntry
+		if json.Unmarshal(line, &e) == nil && e.Key != "" {
+			c.done[e.Key] = e
+		}
+	}
 	return c, nil
 }
 
@@ -93,12 +82,7 @@ func (c *Checkpoint) Dir() string { return c.dir }
 func (c *Checkpoint) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close()
-	c.f = nil
-	return err
+	return c.journal.Close()
 }
 
 // Done reports whether the run key completed in a previous (or the
@@ -131,18 +115,8 @@ func (c *Checkpoint) markDone(e doneEntry) error {
 	if _, ok := c.done[e.Key]; ok {
 		return nil
 	}
-	if c.f == nil {
-		return fmt.Errorf("study: checkpoint: journal closed")
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := c.f.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	if err := c.f.Sync(); err != nil {
-		return err
+	if err := c.journal.Append(e); err != nil {
+		return fmt.Errorf("study: checkpoint: %w", err)
 	}
 	c.done[e.Key] = e
 	return nil
@@ -168,12 +142,7 @@ func (c *Checkpoint) tracePath(execKey string) string {
 // which case the recording runs fresh and overwrites it).
 func (c *Checkpoint) trace(execKey string) (string, bool) {
 	path := c.tracePath(execKey)
-	f, err := os.Open(path)
-	if err != nil {
-		return "", false
-	}
-	defer f.Close()
-	info, err := etrace.Stat(f)
+	info, err := statTrace(path)
 	if err != nil || !info.Complete {
 		return "", false
 	}
@@ -202,6 +171,9 @@ func (c *Checkpoint) saveTrace(execKey, tmp string) (string, error) {
 		os.Remove(tmp)
 	}
 	if err := os.Rename(part, final); err != nil {
+		return "", fmt.Errorf("study: checkpoint: persist trace: %w", err)
+	}
+	if err := durable.SyncDir(c.dir); err != nil {
 		return "", fmt.Errorf("study: checkpoint: persist trace: %w", err)
 	}
 	return final, nil

@@ -150,16 +150,25 @@ func statTraceICount(pol policy, path string) uint64 {
 	if pol.events == nil {
 		return 0
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	info, err := etrace.Stat(f)
+	info, err := statTrace(path)
 	if err != nil {
 		return 0
 	}
 	return info.FinalICount
+}
+
+// statTrace summarises the trace file at path (see etrace.Stat).
+func statTrace(path string) (*etrace.Info, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return etrace.Stat(f, fi.Size())
 }
 
 // recordOnce performs one recording attempt.  On any failure —
@@ -303,73 +312,6 @@ func (s *Study) recordGuest(w io.Writer, opt runOptions) (*obs.Registry, []obs.S
 	return ro.Metrics, ro.Spans.Records(), m.ICount, nil
 }
 
-// replayConfig produces one configuration's result by replaying the
-// recorded trace at path through the configuration's tools.  It mirrors
-// executeConfig span for span, with a "replay" span where the live path
-// has "execute".  A missing or unreadable trace file is host I/O and
-// reported transient; decode and guest-state failures are permanent.
-func (s *Study) replayConfig(cfg RunConfig, path string, opt runOptions) (*RunResult, error) {
-	ctx := opt.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var ro *obs.Observer
-	if s.Obs != nil {
-		ro = obs.NewObserver()
-	}
-	res := &RunResult{Config: cfg, Key: cfg.Key()}
-	run := ro.Tracer().Start("run")
-	f, err := os.Open(path)
-	if err != nil {
-		run.End()
-		return nil, fmt.Errorf("study: run %s: %w", res.Key, markHostIO(err))
-	}
-	defer f.Close()
-	var in io.Reader = f
-	if opt.hooks.ReplayReader != nil {
-		in = opt.hooks.ReplayReader(f)
-	}
-
-	instrument := ro.Tracer().Start("instrument")
-	rp, err := etrace.NewReplayer(in)
-	var ts *toolset
-	if err == nil {
-		ts, err = attachTools(rp, cfg, ro.Tracer())
-	}
-	instrument.End()
-	if err != nil {
-		run.End()
-		return nil, fmt.Errorf("study: run %s: %w", res.Key, err)
-	}
-	if opt.beat != nil {
-		rp.OnProgress(opt.beat)
-	}
-
-	replay := ro.Tracer().Start("replay")
-	err = rp.ReplayContext(ctx)
-	replay.SetInstr(rp.ICount())
-	rb, wb := rp.Traffic()
-	replay.SetBytes(rb + wb)
-	replay.End()
-	if err == nil && rp.ExitCode() != 0 {
-		err = fmt.Errorf("guest exit code %d", rp.ExitCode())
-	}
-	if err != nil {
-		run.End()
-		return nil, fmt.Errorf("study: run %s: %w", res.Key, err)
-	}
-
-	res.ICount, res.Overhead, res.Time = rp.ICount(), rp.Overhead(), rp.Time()
-	rp.PublishMetrics(ro.Registry())
-	ts.collect(cfg, res, ro)
-	run.End()
-	if ro != nil {
-		res.Registry = ro.Metrics
-		res.Spans = ro.Spans.Records()
-	}
-	return res, nil
-}
-
 // groupRun is one member of a batched replay pass: a configuration plus
 // its heartbeat callback.
 type groupRun struct {
@@ -379,14 +321,16 @@ type groupRun struct {
 
 // replayGroup produces every member configuration's result from ONE
 // decode pass over the recorded trace at path, via an
-// etrace.ParallelReplayer fanning the record stream out to one consumer
-// per member.  It mirrors replayConfig span for span — each member gets
-// its own observer, "run"/"instrument"/"replay" spans and private
-// registry — so batched results are indistinguishable from individually
-// replayed ones.  Any failure fails the whole pass; the scheduler falls
-// back to individual supervised replays, which reproduce the exact
-// per-member error.
-func (s *Study) replayGroup(runs []groupRun, path string, jobs int, ctx context.Context) ([]*RunResult, error) {
+// etrace.ParallelReplayer with jobs decode workers fanning the record
+// stream out to one consumer per member.  Each member gets its own
+// observer, "run"/"instrument"/"replay" spans (the replay span where a
+// live run has "execute") and private registry, so a result is the same
+// whether its configuration was replayed alone or in a batch.  Any
+// failure fails the whole pass.  wrap, when non-nil, wraps the opened
+// trace (the Hooks.ReplayReader fault seam).  A missing or unreadable
+// trace file is host I/O and reported transient; decode and guest-state
+// failures are permanent.
+func (s *Study) replayGroup(runs []groupRun, path string, jobs int, ctx context.Context, wrap func(io.ReaderAt, int64) (io.ReaderAt, int64)) ([]*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -399,7 +343,12 @@ func (s *Study) replayGroup(runs []groupRun, path string, jobs int, ctx context.
 	if err != nil {
 		return nil, markHostIO(err)
 	}
-	pr, err := etrace.NewParallelReplayer(f, fi.Size(), etrace.ParallelOptions{Jobs: jobs})
+	var ra io.ReaderAt = f
+	size := fi.Size()
+	if wrap != nil {
+		ra, size = wrap(ra, size)
+	}
+	pr, err := etrace.NewParallelReplayer(ra, size, etrace.ParallelOptions{Jobs: jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +376,7 @@ func (s *Study) replayGroup(runs []groupRun, path string, jobs int, ctx context.
 		instrument.End()
 		if err != nil {
 			m.run.End()
-			return nil, fmt.Errorf("study: run %s: %w", m.res.Key, err)
+			return nil, err
 		}
 		if r.Beat != nil {
 			beats = append(beats, r.Beat)
@@ -462,7 +411,7 @@ func (s *Study) replayGroup(runs []groupRun, path string, jobs int, ctx context.
 	results := make([]*RunResult, len(members))
 	for i, m := range members {
 		if m.host.ExitCode() != 0 {
-			return nil, fmt.Errorf("study: run %s: guest exit code %d", m.res.Key, m.host.ExitCode())
+			return nil, fmt.Errorf("guest exit code %d", m.host.ExitCode())
 		}
 		m.res.ICount, m.res.Overhead, m.res.Time = m.host.ICount(), m.host.Overhead(), m.host.Time()
 		m.host.PublishMetrics(m.ro.Registry())

@@ -180,10 +180,10 @@ type Scheduler struct {
 	guestExecs atomic.Uint64
 
 	// replayJobs is the decode worker count handed to batched replay
-	// passes (0: decode inline).  decodePasses counts how many times a
-	// trace was decoded to serve replays — the batched analogue of
-	// GuestExecutions: a sweep of N configurations over one recording
-	// should cost one pass, not N.
+	// passes (0: GOMAXPROCS; individual replays always decode inline).
+	// decodePasses counts how many times a trace was decoded to serve
+	// replays — the batched analogue of GuestExecutions: a sweep of N
+	// configurations over one recording should cost one pass, not N.
 	replayJobs   int
 	decodePasses atomic.Uint64
 
@@ -350,8 +350,9 @@ func (sc *Scheduler) SetReplay(on bool) {
 func (sc *Scheduler) GuestExecutions() uint64 { return sc.guestExecs.Load() }
 
 // SetReplayJobs sets how many decode workers a batched replay pass uses
-// (0, the default, decodes inline on the dispatching goroutine).  Call
-// before the first Submit.
+// (0, the default, means GOMAXPROCS; 1 decodes inline).  Individual
+// replays — the batch-failure fallback and runs under per-run hooks —
+// always decode inline.  Call before the first Submit.
 func (sc *Scheduler) SetReplayJobs(n int) {
 	sc.mu.Lock()
 	if n < 0 {
@@ -558,7 +559,7 @@ func (sc *Scheduler) tryBatch(rec *recording, members []*batchMember) (results [
 	jobs := sc.replayJobs
 	sc.mu.Unlock()
 	sc.decodePasses.Add(1)
-	return sc.study.replayGroup(runs, rec.path, jobs, actx)
+	return sc.study.replayGroup(runs, rec.path, jobs, actx, nil)
 }
 
 // replayMember runs one configuration's individual supervised replay —
@@ -577,12 +578,14 @@ func (sc *Scheduler) replayMember(rec *recording, m *batchMember) {
 			return
 		}
 		path, icount := rec.path, rec.icount
+		run := []groupRun{{Cfg: m.cfg, Beat: m.pol.beatFunc(m.key, icount)}}
 		m.p.res, m.p.err = sc.supervised(m.pol, m.key, m.cfg, func(actx context.Context, attempt int) (*RunResult, error) {
 			sc.decodePasses.Add(1)
-			return sc.study.replayConfig(m.cfg, path, runOptions{
-				ctx: actx, hooks: m.pol.hooks,
-				beat: m.pol.beatFunc(m.key, icount),
-			})
+			res, err := sc.study.replayGroup(run, path, 1, actx, m.pol.hooks.ReplayReader)
+			if err != nil {
+				return nil, fmt.Errorf("study: run %s: %w", m.key, err)
+			}
+			return res[0], nil
 		})
 		if m.p.err == nil {
 			sc.finishMember(m)

@@ -125,8 +125,9 @@ type Hooks struct {
 	BeforeRecord func(ctx context.Context, execKey string, attempt int) error
 	// RecordWriter wraps the recording's trace writer (I/O fault seam).
 	RecordWriter func(w io.Writer) io.Writer
-	// ReplayReader wraps a replay's trace reader (I/O fault seam).
-	ReplayReader func(r io.Reader) io.Reader
+	// ReplayReader wraps a replay's opened trace and its size (I/O
+	// fault seam).
+	ReplayReader func(ra io.ReaderAt, size int64) (io.ReaderAt, int64)
 	// Machine fires on every freshly configured live machine before it
 	// runs; ctx is the attempt's context (vm fault seam — e.g. install
 	// a vm.Machine.Watchdog that traps at instruction N).
@@ -141,8 +142,8 @@ type runOptions struct {
 	hooks    Hooks
 	// beat, when non-nil, receives periodic guest progress (instructions
 	// executed or replayed so far).  Live runs drive it from the vm's
-	// block-boundary watchdog, replays from the trace decoder's stride
-	// poll; nil — the default — leaves both hot paths untouched.
+	// block-boundary watchdog, recordings likewise; nil — the default —
+	// leaves the hot path untouched.
 	beat func(ic uint64)
 }
 
