@@ -49,8 +49,9 @@ corrupt:
 # Short fuzzing budgets for the text/binary-format parsers — the
 # event-trace decoder (inline decode plus Stat), the salvage replay
 # paths, the indexed replay pipeline cross-checked against the streaming
-# decode oracle, the JSON profile envelope and the cache-geometry
-# grammar, none of which may panic on any input — and for the two
+# decode oracle, the JSON profile envelope, the cache-geometry grammar
+# and the job daemon's spec decode + normalisation (idempotent, within
+# the grid bound), none of which may panic on any input — and for the two
 # equivalence oracles: the block engine against the reference stepper,
 # and the dense QUAD tool against its map-based original.
 fuzz:
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzIndex -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 10s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzCacheConfig -fuzztime 10s ./internal/memsim
+	$(GO) test -run xxx -fuzz FuzzJobSpec -fuzztime 10s ./internal/jobd
 	$(GO) test -run xxx -fuzz FuzzBlockEngineEquivalence -fuzztime 10s ./internal/vm
 	$(GO) test -run xxx -fuzz FuzzQUADEquivalence -fuzztime 10s ./internal/quad
 

@@ -28,14 +28,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg wfs.Config
-	switch *config {
-	case "small":
-		cfg = wfs.Small()
-	case "study":
-		cfg = wfs.Study()
-	default:
-		log.Fatalf("unknown config %q", *config)
+	cfg, err := wfs.ConfigByName(*config)
+	if err != nil {
+		log.Fatal(err)
 	}
 	s, err := study.New(cfg)
 	if err != nil {

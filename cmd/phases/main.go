@@ -9,9 +9,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"os"
 
+	"tquad/internal/cliutil"
 	"tquad/internal/core"
 	"tquad/internal/phase"
 	"tquad/internal/study"
@@ -30,14 +31,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg wfs.Config
-	switch *config {
-	case "small":
-		cfg = wfs.Small()
-	case "study":
-		cfg = wfs.Study()
-	default:
-		log.Fatalf("unknown config %q", *config)
+	cfg, err := wfs.ConfigByName(*config)
+	if err != nil {
+		log.Fatal(err)
 	}
 	s, err := study.New(cfg)
 	if err != nil {
@@ -53,14 +49,10 @@ func main() {
 	}
 	phases := phase.Detect(prof, opts)
 	if *jsonFile != "" {
-		fh, err := os.Create(*jsonFile)
+		err := cliutil.WriteFile(*jsonFile, func(w io.Writer) error { return trace.SavePhases(w, phases) })
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("-json: %v", err)
 		}
-		if err := trace.SavePhases(fh, phases); err != nil {
-			log.Fatal(err)
-		}
-		fh.Close()
 	}
 	fmt.Printf("%d phases over %d slices of %d instructions\n\n",
 		len(phases), prof.NumSlices, prof.SliceInterval)

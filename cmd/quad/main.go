@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 
+	"tquad/internal/cliutil"
 	"tquad/internal/pin"
 	"tquad/internal/quad"
 	"tquad/internal/report"
@@ -36,14 +37,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg wfs.Config
-	switch *config {
-	case "small":
-		cfg = wfs.Small()
-	case "study":
-		cfg = wfs.Study()
-	default:
-		log.Fatalf("unknown config %q", *config)
+	cfg, err := wfs.ConfigByName(*config)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	run := func(includeStack bool) *quad.Report {
@@ -64,10 +60,7 @@ func main() {
 		if *jsonFile == "" {
 			return
 		}
-		fh, err := os.Create(*jsonFile)
-		if err == nil {
-			err = writeJSON(*jsonFile, fh, rep)
-		}
+		err := cliutil.WriteFile(*jsonFile, func(w io.Writer) error { return trace.SaveQUAD(w, rep) })
 		if err != nil {
 			log.Fatalf("-json: %v", err)
 		}
@@ -107,22 +100,4 @@ func writeDot(rep *quad.Report, path string, minBytes uint64) {
 		log.Fatalf("write %s: %v", path, err)
 	}
 	fmt.Printf("QDU graph written to %s\n", path)
-}
-
-// writeJSON writes rep to w, the freshly created file at path, and closes
-// it.  A failed write or Close (where a deferred write error surfaces)
-// removes the partial file, so a truncated report never passes for a
-// complete one; a non-regular path such as /dev/stdout is left alone.
-func writeJSON(path string, w io.WriteCloser, rep *quad.Report) error {
-	err := trace.SaveQUAD(w, rep)
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if fi, serr := os.Lstat(path); serr == nil && fi.Mode().IsRegular() {
-			os.Remove(path)
-		}
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	return nil
 }

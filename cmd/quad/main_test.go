@@ -5,12 +5,8 @@ import (
 	"errors"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"tquad/internal/quad"
-	"tquad/internal/trace"
 )
 
 // TestMain lets the tests re-exec this binary as the quad command.
@@ -20,61 +16,6 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
-}
-
-// closeFailer writes through to a real file but reports a failed Close,
-// as a filesystem does when it flushes a deferred write error on close.
-type closeFailer struct{ f *os.File }
-
-func (c closeFailer) Write(p []byte) (int, error) { return c.f.Write(p) }
-func (c closeFailer) Close() error {
-	c.f.Close()
-	return errors.New("deferred write error")
-}
-
-func sampleReport() *quad.Report {
-	return &quad.Report{
-		Kernels:  []quad.KernelStats{{Name: "k", In: 8, InUnMA: 8, Out: 8, OutUnMA: 8}},
-		Bindings: []quad.Binding{{Producer: "k", Consumer: "k", Bytes: 8}},
-	}
-}
-
-// TestWriteJSONCloseErrorRemovesFile: a Close failure is an error and the
-// partial file does not survive it.
-func TestWriteJSONCloseErrorRemovesFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "q.json")
-	fh, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = writeJSON(path, closeFailer{fh}, sampleReport())
-	if err == nil || !strings.Contains(err.Error(), "deferred write error") {
-		t.Fatalf("writeJSON = %v, want the Close error", err)
-	}
-	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
-		t.Fatalf("partial file survived: stat = %v", serr)
-	}
-}
-
-// TestWriteJSONRoundTrips: the success path leaves a loadable document.
-func TestWriteJSONRoundTrips(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "q.json")
-	fh, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJSON(path, fh, sampleReport()); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	doc, err := trace.Load(f)
-	if err != nil || doc.QUAD == nil || doc.QUAD.Kernels[0].Name != "k" {
-		t.Fatalf("reloaded document = %+v, %v", doc, err)
-	}
 }
 
 // TestJSONWriteFailureExitsNonZero: at process level, a -json target

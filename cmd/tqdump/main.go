@@ -261,14 +261,9 @@ func dumpTraceInfo(w io.Writer, name string, ra io.ReaderAt, size int64) error {
 func buildImages(app, config string) []*image.Image {
 	switch app {
 	case "wfs":
-		var cfg wfs.Config
-		switch config {
-		case "small":
-			cfg = wfs.Small()
-		case "study":
-			cfg = wfs.Study()
-		default:
-			log.Fatalf("unknown config %q", config)
+		cfg, err := wfs.ConfigByName(config)
+		if err != nil {
+			log.Fatal(err)
 		}
 		w, err := wfs.NewWorkload(cfg)
 		if err != nil {

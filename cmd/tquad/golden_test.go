@@ -9,8 +9,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -92,9 +94,15 @@ func TestGoldenCacheSweepDeterministic(t *testing.T) {
 // both stack policies.
 func TestGoldenRecordReplayParallel(t *testing.T) {
 	trace := t.TempDir() + "/small.etrace"
-	runSelf(t, "-config", "small", "-slice", "200000", "-record", trace)
+	if got, want := runSelf(t, "-config", "small", "-slice", "200000", "-record", trace),
+		"event trace written to "+trace+"\n"+golden(t, "golden_small_200000.txt"); got != want {
+		t.Errorf("recorded run drifted from the live golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
 	for _, stack := range []string{"include", "exclude"} {
 		want := runSelf(t, "-replay", trace, "-slice", "200000", "-stack", stack, "-replay-jobs", "1")
+		if stack == "include" {
+			assertReplayMatchesLive(t, trace, want)
+		}
 		for _, jobs := range []string{"2", "4", "0"} {
 			got := runSelf(t, "-replay", trace, "-slice", "200000", "-stack", stack, "-replay-jobs", jobs)
 			if got != want {
@@ -102,6 +110,30 @@ func TestGoldenRecordReplayParallel(t *testing.T) {
 					stack, jobs, got, want)
 			}
 		}
+	}
+}
+
+// TestGoldenRecordSweepReplay: a trace recorded by a two-interval sweep
+// replays to the live single-run golden, and recording does not change
+// the sweep's own report.
+func TestGoldenRecordSweepReplay(t *testing.T) {
+	trace := t.TempDir() + "/sweep.etrace"
+	if got, want := runSelf(t, "-config", "small", "-slice", "200000,400000", "-record", trace),
+		"event trace written to "+trace+"\n"+golden(t, "golden_small_sweep.txt"); got != want {
+		t.Errorf("recorded sweep drifted from the live golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	assertReplayMatchesLive(t, trace, runSelf(t, "-replay", trace, "-slice", "200000"))
+}
+
+// assertReplayMatchesLive checks a -slice 200000 replay of trace against
+// the live golden: identical apart from the header's label.
+func assertReplayMatchesLive(t *testing.T, trace, replay string) {
+	t.Helper()
+	live := golden(t, "golden_small_200000.txt")
+	got, ok := strings.CutPrefix(replay, "tQUAD (replay of "+trace+")")
+	want, _ := strings.CutPrefix(live, "tQUAD")
+	if !ok || got != want {
+		t.Errorf("replay differs from the live run beyond its header:\n--- replay ---\n%s--- live ---\n%s", replay, live)
 	}
 }
 
@@ -113,5 +145,27 @@ func TestGoldenSweepReplayJobs(t *testing.T) {
 	got := runSelf(t, "-config", "small", "-slice", "200000", "-cache", caches, "-replay-jobs", "4")
 	if got != want {
 		t.Errorf("sweep output depends on -replay-jobs:\n--- jobs=1 ---\n%s--- jobs=4 ---\n%s", want, got)
+	}
+}
+
+// TestRecordFailureRemovesTrace: a grid that fails after -record probed
+// its output path exits non-zero and leaves no file there, and no
+// journal directory beside it.
+func TestRecordFailureRemovesTrace(t *testing.T) {
+	dir := t.TempDir()
+	trace := dir + "/failed.etrace"
+	cmd := exec.Command(os.Args[0], "-config", "small", "-slice", "200000,400000", "-max-icount", "1000", "-record", trace)
+	cmd.Env = append(os.Environ(), "TQUAD_BE_TOOL=1")
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("over-budget grid: err = %v, want a non-zero exit\nstderr:\n%s", err, errb.String())
+	}
+	if !strings.Contains(errb.String(), "instruction budget exhausted") {
+		t.Errorf("stderr does not name the failure:\n%s", errb.String())
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("left behind %v (%v)", ents, err)
 	}
 }

@@ -14,13 +14,15 @@
 //	      [-metrics FILE] [-trace FILE] [-journal FILE]
 //	      [-serve ADDR] [-stall-window D]
 //
-// -slice accepts a comma-separated list of intervals (duplicates are
-// collapsed); more than one interval runs the whole sweep through the
-// parallel experiment scheduler (bounded by -jobs, default GOMAXPROCS)
-// and prints each run's charts and statistics in interval order.  If
-// any run fails the command reports every failure and exits non-zero.
-// The export flags (-csv, -json, -svg, -metrics, -trace, -journal)
-// apply to single runs only.
+// Every live invocation is a grid of runs executed by the parallel
+// experiment scheduler (bounded by -jobs, default GOMAXPROCS) — the same
+// grid a jobd job submits for the same knobs.  -slice accepts a
+// comma-separated list of intervals (duplicates are collapsed) and each
+// interval is one run; the report prints each run's charts and
+// statistics in interval order.  A one-run grid executes the guest live;
+// a larger grid records it once and replays the recording for every
+// run.  If any run fails the command reports every failure and exits
+// non-zero.  -csv, -json and -svg apply to one-run grids only.
 //
 // -cache additionally simulates a memory hierarchy (set-associative LRU
 // caches with write-back/write-allocate plus a DRAM open-row model) over
@@ -34,16 +36,17 @@
 //
 // Execution is supervised: SIGINT/SIGTERM (and the -timeout deadline)
 // stop the guest at its next basic block and exit cleanly, removing any
-// partially written -record file or sweep temp traces.  -max-icount
-// overrides the guest instruction budget.  -retries re-runs transiently
-// failed sweep runs with deterministic backoff and -resume DIR journals
-// completed sweep runs (and the recorded trace) into DIR so a rerun
-// skips completed guest work; both apply to multi-interval sweeps only.
+// partially written -record file and temp traces.  -max-icount overrides
+// the guest instruction budget.  -retries re-runs transiently failed
+// runs with deterministic backoff and -resume DIR journals completed
+// runs (and, for recorded grids, the trace) into DIR so a rerun skips
+// completed guest work.
 //
-// -record additionally captures the guest's dynamic event stream into a
-// compact binary trace during a single-interval live run (flushed and
-// fsynced before the success message prints); -replay then profiles
-// that trace — at any slice interval, any number of times — without
+// -record FILE keeps the grid's recorded guest event stream as a compact
+// binary trace (fsynced before the success message prints); it runs any
+// grid, one run included, in record/replay mode and takes the trace out
+// of the -resume DIR when one is given.  -replay then profiles that
+// trace — at any slice interval, any number of times — without
 // executing the guest again.  Replays verify the trace's checksums and
 // fail on damage; -salvage instead replays around damaged chunks and
 // reports exactly what was lost.  Inspect recorded traces with tqdump
@@ -52,139 +55,158 @@
 // -metrics writes a Prometheus text-format snapshot, -trace a
 // chrome://tracing-compatible JSON trace of the pipeline stages (open it
 // at chrome://tracing or https://ui.perfetto.dev), and -journal a JSONL
-// event journal of spans and metrics.
+// event journal; with any of them the report closes with the pipeline
+// stage and block-engine tables.  Counters accumulate over every run of
+// the grid, and the tquad_run_slowdown gauge holds the slowest run's
+// slowdown.
 //
 // -serve starts an embedded telemetry server for the duration of the
-// invocation (live runs and sweeps; not -replay): GET / is a live
-// progress page with per-run progress bars and a bandwidth chart of
-// completed runs, /metrics the Prometheus registry, /events a
-// Server-Sent Events stream of run lifecycle events (append
-// ?format=jsonl for plain JSONL), and /debug/pprof/ the Go profiler.
-// -stall-window flags a run as stalled — a `stalled` event plus the
+// invocation (not -replay): GET / is a live progress page with per-run
+// progress bars and a bandwidth chart of completed runs, /metrics the
+// Prometheus registry, /events a Server-Sent Events stream of run
+// lifecycle events keyed by run configuration (append ?format=jsonl
+// for plain JSONL), and /debug/pprof/ the Go profiler.  -stall-window
+// flags a run as stalled — a `stalled` event plus the
 // tquad_sched_stalled_total counter — after that long without a
 // heartbeat.  With -serve unset none of this machinery is built and the
 // execution hot path is untouched.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"syscall"
 	"time"
 
 	"tquad/internal/cliutil"
 	"tquad/internal/core"
+	"tquad/internal/durable"
 	"tquad/internal/etrace"
 	"tquad/internal/memsim"
 	"tquad/internal/obs"
 	"tquad/internal/obs/live"
-	"tquad/internal/pin"
-	"tquad/internal/plot"
 	"tquad/internal/report"
 	"tquad/internal/study"
 	"tquad/internal/trace"
-	"tquad/internal/vm"
 	"tquad/internal/wfs"
 )
+
+// options is one invocation's settings, shared by the live and -replay
+// paths.
+type options struct {
+	config     string
+	intervals  []uint64
+	caches     []string // canonical memsim keys
+	ignoreLibs bool
+	render     study.RenderOptions // its IncludeStack is -stack's
+	csv        bool
+	jsonFile   string
+	svgFile    string
+	metricsOut string
+	traceOut   string
+	journalOut string
+	record     string
+	salvage    bool
+	jobs       int
+	replayJobs int // decode workers; 1 decodes inline, 0 = GOMAXPROCS
+	retries    int
+	resume     string
+	budget     uint64
+	interpret  bool // run guests on the reference interpreter (-engine=step)
+
+	// The observer stays nil (zero-cost) unless an export was requested or
+	// the telemetry server needs a registry; the tracker and chart exist
+	// only under -serve.
+	obs     *obs.Observer
+	tracker *live.Tracker
+	chart   *live.ChartData
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tquad: ")
-	var (
-		config     = flag.String("config", "small", "workload configuration: small or study")
-		slice      = flag.String("slice", "0", "time slice interval(s) in instructions, comma-separated (0 = ~64 slices); more than one runs a parallel sweep")
-		cache      = flag.String("cache", "", "simulate a cache hierarchy, e.g. l1=32k/8/64,l2=256k/8/64,llc=8m/16/64; semicolon-separated list sweeps hierarchies off one recorded execution")
-		jobs       = flag.Int("jobs", 0, "maximum concurrently executing runs in a -slice sweep (0 = GOMAXPROCS)")
-		stack      = flag.String("stack", "include", "stack-area accesses: include or exclude")
-		ignoreLibs = flag.Bool("ignore-libs", false, "exclude OS/library routine bandwidth")
-		metric     = flag.String("metric", "reads", "plotted metric: reads, writes or both")
-		kernels    = flag.String("kernels", "top", "kernel set: top (ten), last (ten) or all")
-		width      = flag.Int("width", 64, "chart width in characters")
-		csv        = flag.Bool("csv", false, "emit raw per-slice CSV instead of charts")
-		jsonFile   = flag.String("json", "", "also write the full profile as JSON to this file")
-		svgFile    = flag.String("svg", "", "render the bandwidth heatmap (the paper's figure) as SVG to this file")
-		metricsOut = flag.String("metrics", "", "write a Prometheus text-format metrics snapshot to this file")
-		traceOut   = flag.String("trace", "", "write a chrome://tracing JSON trace of the pipeline stages to this file")
-		journalOut = flag.String("journal", "", "write a JSONL event journal (spans + metrics) to this file")
-		recordOut  = flag.String("record", "", "record the guest event stream to this file (single-interval live run)")
-		replayIn   = flag.String("replay", "", "replay a recorded event stream instead of executing the guest")
-		salvage    = flag.Bool("salvage", false, "with -replay: replay around damaged chunks and report the gap")
-		replayJobs = flag.Int("replay-jobs", 1, "trace-decode workers for -replay and sweep replays: 1 = sequential, 0 = GOMAXPROCS")
-		timeout    = flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
-		maxICount  = flag.Uint64("max-icount", 0, "guest instruction budget per run (0 = default)")
-		retries    = flag.Int("retries", 0, "sweep only: retries per run after transient failures")
-		resume     = flag.String("resume", "", "sweep only: checkpoint journal directory for resumable sweeps")
-		engine     = flag.String("engine", "block", "execution engine: block (pre-decoded basic blocks) or step (reference interpreter)")
-		serveAddr  = flag.String("serve", "", "serve live telemetry (progress page, /metrics, /events, pprof) on this address, e.g. :8080")
-		stallWin   = flag.Duration("stall-window", 10*time.Second, "with -serve: flag a run as stalled after this long without a heartbeat (0 = never)")
-	)
+	var o options
+	flag.StringVar(&o.config, "config", "small", "workload configuration: small or study")
+	slice := flag.String("slice", "0", "time slice interval(s) in instructions, comma-separated (0 = ~64 slices); more than one runs a parallel sweep")
+	cache := flag.String("cache", "", "simulate a cache hierarchy, e.g. l1=32k/8/64,l2=256k/8/64,llc=8m/16/64; semicolon-separated list sweeps hierarchies off one recorded execution")
+	flag.IntVar(&o.jobs, "jobs", 0, "maximum concurrently executing runs (0 = GOMAXPROCS)")
+	stack := flag.String("stack", "include", "stack-area accesses: include or exclude")
+	flag.BoolVar(&o.ignoreLibs, "ignore-libs", false, "exclude OS/library routine bandwidth")
+	flag.StringVar(&o.render.Metric, "metric", "reads", "plotted metric: reads, writes or both")
+	flag.StringVar(&o.render.Kernels, "kernels", "top", "kernel set: top (ten), last (ten) or all")
+	flag.IntVar(&o.render.Width, "width", 64, "chart width in characters")
+	flag.BoolVar(&o.csv, "csv", false, "emit raw per-slice CSV instead of charts")
+	flag.StringVar(&o.jsonFile, "json", "", "also write the full profile as JSON to this file")
+	flag.StringVar(&o.svgFile, "svg", "", "render the bandwidth heatmap (the paper's figure) as SVG to this file")
+	flag.StringVar(&o.metricsOut, "metrics", "", "write a Prometheus text-format metrics snapshot to this file")
+	flag.StringVar(&o.traceOut, "trace", "", "write a chrome://tracing JSON trace of the pipeline stages to this file")
+	flag.StringVar(&o.journalOut, "journal", "", "write a JSONL event journal (spans + metrics) to this file")
+	flag.StringVar(&o.record, "record", "", "record the guest event stream to this file")
+	replayIn := flag.String("replay", "", "replay a recorded event stream instead of executing the guest")
+	flag.BoolVar(&o.salvage, "salvage", false, "with -replay: replay around damaged chunks and report the gap")
+	flag.IntVar(&o.replayJobs, "replay-jobs", 1, "trace-decode workers for -replay and sweep replays: 1 = sequential, 0 = GOMAXPROCS")
+	timeout := flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
+	flag.Uint64Var(&o.budget, "max-icount", 0, "guest instruction budget per run (0 = default)")
+	flag.IntVar(&o.retries, "retries", 0, "retries per run after transient failures")
+	flag.StringVar(&o.resume, "resume", "", "checkpoint journal directory for resumable runs")
+	engine := flag.String("engine", "block", "execution engine: block (pre-decoded basic blocks) or step (reference interpreter)")
+	serveAddr := flag.String("serve", "", "serve live telemetry (progress page, /metrics, /events, pprof) on this address, e.g. :8080")
+	stallWin := flag.Duration("stall-window", 10*time.Second, "with -serve: flag a run as stalled after this long without a heartbeat (0 = never)")
 	flag.Parse()
 
-	cfg, err := pickConfig(*config)
+	cfg, err := wfs.ConfigByName(o.config)
 	if err != nil {
 		log.Fatal(err)
 	}
-	includeStack := *stack == "include"
+	o.render.IncludeStack = *stack == "include"
 	if *stack != "include" && *stack != "exclude" {
 		log.Fatalf("bad -stack %q", *stack)
 	}
-	if *jobs < 0 {
-		log.Fatalf("bad -jobs %d: must be >= 0", *jobs)
+	if o.jobs < 0 {
+		log.Fatalf("bad -jobs %d: must be >= 0", o.jobs)
 	}
-	if *replayJobs < 0 {
-		log.Fatalf("bad -replay-jobs %d: must be >= 0", *replayJobs)
+	if o.replayJobs < 0 {
+		log.Fatalf("bad -replay-jobs %d: must be >= 0", o.replayJobs)
 	}
-	if *retries < 0 {
-		log.Fatalf("bad -retries %d: must be >= 0", *retries)
+	if o.retries < 0 {
+		log.Fatalf("bad -retries %d: must be >= 0", o.retries)
 	}
 	if *engine != "block" && *engine != "step" {
 		log.Fatalf("bad -engine %q: must be block or step", *engine)
 	}
-	interpret := *engine == "step"
-	if *recordOut != "" && *replayIn != "" {
+	o.interpret = *engine == "step"
+	if o.record != "" && *replayIn != "" {
 		log.Fatal("-record and -replay are mutually exclusive")
 	}
-	if *salvage && *replayIn == "" {
+	if o.salvage && *replayIn == "" {
 		log.Fatal("-salvage applies to -replay only")
 	}
-	if *serveAddr != "" && *replayIn != "" {
-		log.Fatal("-serve applies to live runs and sweeps only, not -replay")
+	if *replayIn != "" && (*serveAddr != "" || o.retries != 0 || o.resume != "") {
+		log.Fatal("-serve, -retries and -resume apply to live runs only, not -replay")
 	}
 	// Every output path is probed before any guest work: a typo'd export
 	// flag fails in milliseconds, not after the run.
 	if err := cliutil.EnsureWritableAll(
-		"-json", *jsonFile, "-svg", *svgFile, "-metrics", *metricsOut,
-		"-trace", *traceOut, "-journal", *journalOut, "-record", *recordOut,
+		"-json", o.jsonFile, "-svg", o.svgFile, "-metrics", o.metricsOut,
+		"-trace", o.traceOut, "-journal", o.journalOut, "-record", o.record,
 	); err != nil {
 		log.Fatal(err)
 	}
-	intervals, err := parseSlices(*slice)
-	if err != nil {
+	if o.intervals, err = parseSlices(*slice); err != nil {
 		log.Fatal(err)
 	}
-	caches, err := parseCaches(*cache)
-	if err != nil {
+	if o.caches, err = parseCaches(*cache); err != nil {
 		log.Fatal(err)
 	}
-
-	// A sweep is any invocation with more than one run: several slice
-	// intervals, several cache hierarchies, or both (the cross product).
-	sweep := len(intervals) > 1 || len(caches) > 1
-	if sweep {
-		if *csv || *jsonFile != "" || *svgFile != "" || *metricsOut != "" || *traceOut != "" || *journalOut != "" {
-			log.Fatal("-csv, -json, -svg, -metrics, -trace and -journal apply to single runs only")
-		}
-		if *recordOut != "" {
-			log.Fatal("-record applies to single runs only")
-		}
-	} else if *retries != 0 || *resume != "" {
-		log.Fatal("-retries and -resume apply to sweeps only")
+	if (len(o.intervals) > 1 || len(o.caches) > 1) && (o.csv || o.jsonFile != "" || o.svgFile != "") {
+		log.Fatal("-csv, -json and -svg apply to single runs only")
 	}
 
 	// SIGINT/SIGTERM (and -timeout) cancel the run context: the guest
@@ -197,29 +219,19 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	budget := *maxICount
-	if budget == 0 {
-		budget = wfs.MaxInstr
-	}
 
-	// The live telemetry server, its run tracker and the shared metrics
-	// registry exist only under -serve; everywhere else the sink stays
-	// nil and the hot path runs exactly as before.
-	var (
-		liveObs *obs.Observer
-		tracker *live.Tracker
-		chart   *live.ChartData
-	)
+	if *serveAddr != "" || o.metricsOut != "" || o.traceOut != "" || o.journalOut != "" {
+		o.obs = obs.NewObserver()
+	}
 	if *serveAddr != "" {
-		liveObs = obs.NewObserver()
-		chart = live.NewChartData("effective bandwidth of completed runs", "B/instr")
-		tracker = live.NewTracker(live.TrackerOptions{Registry: liveObs.Registry(), StallWindow: *stallWin})
-		defer tracker.Close()
+		o.chart = live.NewChartData("effective bandwidth of completed runs", "B/instr")
+		o.tracker = live.NewTracker(live.TrackerOptions{Registry: o.obs.Registry(), StallWindow: *stallWin})
+		defer o.tracker.Close()
 		srv, err := live.Serve(*serveAddr, live.Options{
-			Registry: liveObs.Registry(),
-			Tracker:  tracker,
-			Chart:    chart.SVG,
-			Title:    "tquad " + *config,
+			Registry: o.obs.Registry(),
+			Tracker:  o.tracker,
+			Chart:    o.chart.SVG,
+			Title:    "tquad " + o.config,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -231,356 +243,222 @@ func main() {
 	}
 
 	if *replayIn != "" {
-		err := runReplay(ctx, *replayIn, &replayOpts{
-			intervals:    intervals,
-			caches:       caches,
-			jobs:         *replayJobs,
-			salvage:      *salvage,
-			includeStack: includeStack,
-			ignoreLibs:   *ignoreLibs,
-			stack:        *stack,
-			metric:       *metric,
-			kernels:      *kernels,
-			width:        *width,
-			csv:          *csv,
-			jsonFile:     *jsonFile,
-			svgFile:      *svgFile,
-			metricsOut:   *metricsOut,
-			traceOut:     *traceOut,
-			journalOut:   *journalOut,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+		err = runReplay(ctx, *replayIn, &o)
+	} else {
+		err = runGrid(ctx, cfg, &o)
 	}
-
-	if sweep {
-		sup := supervision{
-			ctx: ctx, retries: *retries, resume: *resume, budget: budget,
-			interpret: interpret, replayJobs: *replayJobs,
-			obs: liveObs, events: tracker, chart: chart,
-		}
-		if err := runSweep(cfg, intervals, caches, includeStack, *ignoreLibs, *jobs, *metric, *kernels, *width, sup); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	// The observer stays nil (zero-cost) unless an export was requested
-	// or the telemetry server needs a registry to publish into.
-	o := liveObs
-	if o == nil && (*metricsOut != "" || *traceOut != "" || *journalOut != "") {
-		o = obs.NewObserver()
-	}
-	run := o.Tracer().Start("run")
-
-	w, err := wfs.NewWorkloadObserved(cfg, o.Tracer())
 	if err != nil {
 		log.Fatal(err)
 	}
-	w.Interpret = interpret
-	instrument := o.Tracer().Start("instrument")
-	m, _ := w.NewMachine()
-	e := pin.NewEngine(m)
-	interval := intervals[0]
-	if interval == 0 {
-		// Dry-sizing: aim for ~64 slices like the paper's Figure 6.
-		s, err := study.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		interval, err = s.SliceForCount(64)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	tool := core.Attach(e, core.Options{
-		SliceInterval: interval,
-		IncludeStack:  includeStack,
-		ExcludeLibs:   *ignoreLibs,
-	})
-	var memTool *memsim.Tool
-	if len(caches) == 1 {
-		memTool, err = memsim.Attach(e, memsim.Options{
-			Config:        caches[0],
-			SliceInterval: interval,
-			ExcludeLibs:   *ignoreLibs,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	var (
-		recFile *os.File
-		recBuf  *bufio.Writer
-		rec     *etrace.Recorder
-	)
-	if *recordOut != "" {
-		recFile, err = os.Create(*recordOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		recBuf = bufio.NewWriterSize(recFile, 1<<16)
-		rec, err = etrace.Record(e, recBuf, etrace.RecordOptions{Workload: "wfs/" + *config})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	instrument.End()
-
-	// Under -serve the single run reports the same lifecycle the sweep
-	// scheduler would: queued/started up front, block-boundary heartbeats
-	// while the guest executes, succeeded/failed at the end.
-	const runKey = "run"
-	if tracker != nil {
-		tracker.Publish(obs.Event{Type: obs.EventQueued, Key: runKey})
-		tracker.Publish(obs.Event{Type: obs.EventStarted, Key: runKey, Attempt: 1})
-		var lastBeat uint64
-		m.PushWatchdog(func(m *vm.Machine) error {
-			if m.ICount-lastBeat >= study.DefaultHeartbeatStride {
-				lastBeat = m.ICount
-				tracker.Publish(obs.Event{Type: obs.EventHeartbeat, Key: runKey, ICount: m.ICount, Budget: budget})
-			}
-			return nil
-		})
-	}
-
-	execute := o.Tracer().Start("execute")
-	if err := m.RunContext(ctx, budget); err != nil {
-		// A cancelled or failed run must not leave a partial trace file
-		// behind masquerading as a recording.
-		if recFile != nil {
-			recFile.Close()
-			os.Remove(*recordOut)
-		}
-		if tracker != nil {
-			tracker.Publish(obs.Event{Type: obs.EventFailed, Key: runKey, Attempt: 1, Err: err.Error()})
-		}
-		log.Fatalf("run: %v", err)
-	}
-	execute.SetInstr(m.ICount)
-	execute.SetBytes(m.MemStats.ReadBytes() + m.MemStats.WriteBytes())
-	execute.End()
-	if rec != nil {
-		// Finish, flush, fsync, close — every error surfaced.  The fsync
-		// means the success message below is a durability statement: once
-		// printed, the trace survives a host crash.
-		err := rec.Finish()
-		if err == nil {
-			err = recBuf.Flush()
-		}
-		if err == nil {
-			err = recFile.Sync()
-		}
-		if cerr := recFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(*recordOut)
-			log.Fatalf("record: %v", err)
-		}
-		fmt.Printf("event trace written to %s\n", *recordOut)
-	}
-
-	snapshot := o.Tracer().Start("snapshot")
-	prof := tool.Snapshot()
-	snapshot.SetInstr(prof.TotalInstr)
-	snapshot.End()
-	if tracker != nil {
-		tracker.Publish(obs.Event{Type: obs.EventSucceeded, Key: runKey, ICount: m.ICount})
-		chart.Add(runKey, study.EffectiveBandwidth(prof))
-	}
-	// finish closes the run span, publishes the per-run metrics and writes
-	// the requested export files; it must run on every exit path that
-	// produced a profile.
-	finish := func(reportSpan *obs.Span) {
-		reportSpan.End()
-		run.End()
-		if o == nil {
-			return
-		}
-		m.PublishMetrics(o.Metrics)
-		e.PublishMetrics(o.Metrics)
-		tool.PublishMetrics(o.Metrics)
-		if memTool != nil {
-			memTool.PublishMetrics(o.Metrics)
-		}
-		if prof.TotalInstr > 0 {
-			o.Metrics.Gauge("tquad_run_slowdown").Set(float64(m.Time()) / float64(prof.TotalInstr))
-		}
-		if err := o.WriteFiles(*metricsOut, *traceOut, *journalOut); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	reportSpan := o.Tracer().Start("report")
-	if *jsonFile != "" {
-		fh, err := os.Create(*jsonFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.SaveTemporal(fh, prof); err != nil {
-			log.Fatal(err)
-		}
-		fh.Close()
-	}
-
-	names := study.KernelSet(*kernels, prof)
-	if *svgFile != "" {
-		svg := plot.Heatmap(prof, plot.SortLanesByFirstActivity(prof, names), plot.Options{
-			Title:        fmt.Sprintf("tQUAD %s bandwidth (%s)", *metric, *stack+" stack"),
-			Reads:        *metric != "writes",
-			IncludeStack: includeStack,
-		})
-		if err := os.WriteFile(*svgFile, []byte(svg), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("heatmap written to %s\n", *svgFile)
-	}
-	fmt.Printf("tQUAD: %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
-		prof.TotalInstr, prof.NumSlices, prof.SliceInterval,
-		float64(m.Time())/float64(prof.TotalInstr))
-
-	if *csv {
-		emitCSV(prof, names, *metric, includeStack)
-		finish(reportSpan)
-		return
-	}
-	study.WriteCharts(os.Stdout, prof, names, study.RenderOptions{
-		Metric: *metric, Width: *width, IncludeStack: includeStack,
-	})
-	fmt.Print(study.SummaryTable(prof, names, includeStack))
-	if memTool != nil {
-		study.WriteMemSection(os.Stdout, memTool.Snapshot(), names, *width)
-	}
-
-	// End-of-run overhead accounting — the live analogue of the paper's
-	// Table III / Section V.A breakdown.
-	fmt.Println()
-	fmt.Print(tool.Breakdown().String())
-	finish(reportSpan)
-	if o != nil {
-		fmt.Println()
-		fmt.Print("pipeline stages:\n" + study.RenderSpans(o.Spans))
-		if blocks := study.RenderBlockEngine(o.Metrics); blocks != "" {
-			fmt.Println()
-			fmt.Print("block execution engine:\n" + blocks)
-		}
-	}
 }
 
-// replayOpts carries the output configuration of a -replay invocation.
-type replayOpts struct {
-	intervals    []uint64
-	caches       []memsim.Config
-	jobs         int  // decode workers; 1 decodes inline, 0 = GOMAXPROCS
-	salvage      bool // replay around damaged chunks instead of failing
-	includeStack bool
-	ignoreLibs   bool
-	stack        string
-	metric       string
-	kernels      string
-	width        int
-	csv          bool
-	jsonFile     string
-	svgFile      string
-	metricsOut   string
-	traceOut     string
-	journalOut   string
-}
-
-// runReplay profiles a recorded event trace at each requested interval
-// (crossed with each requested cache hierarchy), sequentially — replays
-// are cheap enough that a scheduler would be overkill, and they share no
-// state.
-func runReplay(ctx context.Context, path string, o *replayOpts) error {
-	mcs := []*memsim.Config{nil}
-	if len(o.caches) > 0 {
-		mcs = mcs[:0]
-		for i := range o.caches {
-			mcs = append(mcs, &o.caches[i])
-		}
-	}
-	first := true
-	for _, iv := range o.intervals {
-		for _, mc := range mcs {
-			if !first {
-				fmt.Println()
+// runGrid executes one tQUAD run per interval×hierarchy combination
+// through the parallel scheduler and prints the report in sweep order.
+// A one-run grid executes live; a larger grid — or any grid under
+// -record or -resume, whose checkpoint journal then keeps the trace —
+// shares one recorded guest execution, however many hierarchies it
+// compares.
+func runGrid(ctx context.Context, cfg wfs.Config, o *options) (err error) {
+	if o.record != "" {
+		// A failed or cancelled run must not leave a partial (or the
+		// pre-probed empty) trace file behind masquerading as a recording.
+		defer func() {
+			if err != nil {
+				os.Remove(o.record)
 			}
-			first = false
-			if err := replayOne(ctx, path, iv, mc, o); err != nil {
-				return err
-			}
-		}
+		}()
 	}
-	return nil
-}
-
-// replayOne replays the trace once through the tQUAD tool, mirroring the
-// live single-run path's output (charts, statistics, exports).
-func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Config, o *replayOpts) error {
-	var ob *obs.Observer
-	if o.metricsOut != "" || o.traceOut != "" || o.journalOut != "" {
-		ob = obs.NewObserver()
-	}
-	run := ob.Tracer().Start("run")
-	f, err := os.Open(path)
+	s, err := study.NewObserved(cfg, o.obs)
 	if err != nil {
 		return err
+	}
+	s.W.Interpret = o.interpret
+	sch := study.NewScheduler(s, o.jobs)
+	defer sch.Close()
+	sch.SetContext(ctx)
+	sch.SetRetries(o.retries)
+	sch.SetMaxInstr(o.budget)
+	sch.SetReplayJobs(o.replayJobs)
+	if o.tracker != nil {
+		sch.SetEvents(o.tracker)
+	}
+	ckDir := o.resume
+	if o.record != "" && ckDir == "" {
+		// The recording lands in a checkpoint journal beside FILE, from
+		// which it is renamed into place once every run has succeeded.
+		if ckDir, err = os.MkdirTemp(filepath.Dir(o.record), ".tquad-record-*"); err != nil {
+			return err
+		}
+		defer os.RemoveAll(ckDir)
+	}
+	if ckDir == "" && len(o.intervals) == 1 && len(o.caches) <= 1 {
+		sch.SetReplay(false)
+	}
+	var ck *study.Checkpoint
+	if ckDir != "" {
+		if ck, err = study.OpenCheckpoint(ckDir); err != nil {
+			return err
+		}
+		defer ck.Close()
+		sch.SetCheckpoint(ck)
+		if done := len(ck.Completed()); done > 0 {
+			log.Printf("resuming: %d run(s) already completed in %s", done, ckDir)
+		}
+	}
+	grid, err := sch.SubmitGrid(o.intervals, o.caches, o.render.IncludeStack, o.ignoreLibs)
+	if err != nil {
+		return err
+	}
+	// Drain the grid before printing: any failure means a non-zero exit
+	// with no partial output.
+	if errs := sch.Flush(); len(errs) > 0 {
+		for _, e := range errs {
+			log.Print(e)
+		}
+		return fmt.Errorf("%d of %d runs failed", len(errs), grid.Len())
+	}
+	results, err := grid.Results()
+	if err != nil {
+		return err
+	}
+	for _, res := range results {
+		o.chart.Add(res.Key, study.EffectiveBandwidth(res.Temporal))
+	}
+	if o.record != "" {
+		path, ok := ck.PersistedTrace(study.RunConfig{}.ExecKey())
+		if !ok {
+			return fmt.Errorf("record: no complete trace in %s", ckDir)
+		}
+		// The journal keeps traces private (0600); FILE gets the mode a
+		// freshly created file would have had.
+		err := os.Rename(path, o.record)
+		if err == nil {
+			err = os.Chmod(o.record, 0o644)
+		}
+		if err == nil {
+			err = durable.SyncDir(filepath.Dir(o.record))
+		}
+		if err != nil {
+			return fmt.Errorf("record: %w", err)
+		}
+		fmt.Printf("event trace written to %s\n", o.record)
+	}
+
+	reportSpan := o.obs.Tracer().Start("report")
+	if len(results) == 1 {
+		err = o.printRun("tQUAD", results[0])
+	} else {
+		grid.WriteReport(os.Stdout, results, o.render)
+	}
+	reportSpan.End()
+	if err != nil {
+		return err
+	}
+	return o.finish(results)
+}
+
+// runReplay profiles a recorded event trace once per grid run,
+// sequentially — replays are cheap enough that a scheduler would be
+// overkill, and -replay must never execute the guest, not even to size
+// -slice 0: that comes from the trace's own instruction total.
+func runReplay(ctx context.Context, path string, o *options) error {
+	intervals, err := study.ResolveSlices(o.intervals, func() (uint64, error) { return traceICount(path, o.salvage) })
+	if err != nil {
+		return err
+	}
+	var results []*study.RunResult
+	for i, cfg := range study.GridConfigs(intervals, o.caches, o.render.IncludeStack, o.ignoreLibs) {
+		if i > 0 {
+			fmt.Println()
+		}
+		res, err := replayOne(ctx, path, cfg, o)
+		if err != nil {
+			return err
+		}
+		reportSpan := o.obs.Tracer().Start("report")
+		err = o.printRun("tQUAD (replay of "+path+")", res)
+		reportSpan.End()
+		if err != nil {
+			return err
+		}
+		results = append(results, res)
+	}
+	return o.finish(results)
+}
+
+// traceICount reads a recording's instruction total for -slice 0.
+func traceICount(path string, salvage bool) (uint64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if interval == 0 {
-		// Dry-sizing from the recording itself: no guest run needed, the
-		// trailer already has the total instruction count.
-		info, err := etrace.Stat(f, fi.Size())
-		if err != nil || !info.Complete {
-			// Dry-sizing needs the trailer's instruction total, which a
-			// damaged trace may not have even in salvage mode.
-			if o.salvage {
-				return fmt.Errorf("%s: cannot size slices from a damaged trace; pass an explicit -slice", path)
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			return fmt.Errorf("%s: incomplete trace (no end record)", path)
+	info, err := etrace.Stat(f, fi.Size())
+	if err != nil || !info.Complete {
+		// Sizing needs the trailer's instruction total, which a damaged
+		// trace may not have even in salvage mode.
+		if salvage {
+			return 0, fmt.Errorf("%s: cannot size slices from a damaged trace; pass an explicit -slice", path)
 		}
-		if interval = info.FinalICount / 64; interval == 0 {
-			interval = 1
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", path, err)
 		}
+		return 0, fmt.Errorf("%s: incomplete trace (no end record)", path)
+	}
+	return info.FinalICount, nil
+}
+
+// replayOne replays the trace once through the tQUAD tool (and the
+// cache simulator when cfg names a hierarchy) and returns the result a
+// scheduler run of cfg would have produced.
+func replayOne(ctx context.Context, path string, cfg study.RunConfig, o *options) (*study.RunResult, error) {
+	tr := o.obs.Tracer()
+	run := tr.Start("run")
+	defer run.End()
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
 
-	instrument := ob.Tracer().Start("instrument")
-	pr, err := etrace.NewParallelReplayer(f, fi.Size(), etrace.ParallelOptions{Jobs: o.jobs, Salvage: o.salvage})
+	instrument := tr.Start("instrument")
+	pr, err := etrace.NewParallelReplayer(f, fi.Size(), etrace.ParallelOptions{Jobs: o.replayJobs, Salvage: o.salvage})
 	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	host := pr.NewConsumer()
 	tool := core.Attach(host, core.Options{
-		SliceInterval: interval,
-		IncludeStack:  o.includeStack,
-		ExcludeLibs:   o.ignoreLibs,
+		SliceInterval: cfg.SliceInterval,
+		IncludeStack:  cfg.IncludeStack,
+		ExcludeLibs:   cfg.ExcludeLibs,
 	})
 	var memTool *memsim.Tool
-	if mc != nil {
-		memTool, err = memsim.Attach(host, memsim.Options{
-			Config:        *mc,
-			SliceInterval: interval,
-			ExcludeLibs:   o.ignoreLibs,
-		})
+	if cfg.Cache != "" {
+		mc, err := memsim.ParseConfig(cfg.Cache)
+		if err == nil {
+			memTool, err = memsim.Attach(host, memsim.Options{
+				Config:        mc,
+				SliceInterval: cfg.SliceInterval,
+				ExcludeLibs:   cfg.ExcludeLibs,
+			})
+		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	instrument.End()
 
-	replay := ob.Tracer().Start("replay")
+	replay := tr.Start("replay")
 	if err := pr.ReplayContext(ctx); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	replay.SetInstr(host.ICount())
 	rb, wb := host.Traffic()
@@ -590,167 +468,82 @@ func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Con
 		fmt.Printf("salvage: %s\n", rep)
 	}
 	if host.ExitCode() != 0 {
-		return fmt.Errorf("%s: recorded guest exit code %d", path, host.ExitCode())
+		return nil, fmt.Errorf("%s: recorded guest exit code %d", path, host.ExitCode())
 	}
 
-	snapshot := ob.Tracer().Start("snapshot")
-	prof := tool.Snapshot()
-	snapshot.SetInstr(prof.TotalInstr)
+	res := &study.RunResult{
+		Config: cfg, Key: cfg.Key(),
+		ICount: host.ICount(), Overhead: host.Overhead(), Time: host.Time(),
+		Breakdown: tool.Breakdown(),
+	}
+	snapshot := tr.Start("snapshot")
+	res.Temporal = tool.Snapshot()
+	snapshot.SetInstr(res.Temporal.TotalInstr)
 	snapshot.End()
-
-	reportSpan := ob.Tracer().Start("report")
-	if o.jsonFile != "" {
-		fh, err := os.Create(o.jsonFile)
-		if err != nil {
-			return err
-		}
-		if err := trace.SaveTemporal(fh, prof); err != nil {
-			return err
-		}
-		fh.Close()
+	reg := o.obs.Registry()
+	host.PublishMetrics(reg)
+	tool.PublishMetrics(reg)
+	if memTool != nil {
+		res.Mem = memTool.Snapshot()
+		memTool.PublishMetrics(reg)
 	}
-	names := study.KernelSet(o.kernels, prof)
+	return res, nil
+}
+
+// printRun writes one run's -json and -svg exports, then its report
+// under label: the header line, then CSV rows (-csv) or the report body.
+func (o *options) printRun(label string, res *study.RunResult) error {
+	if o.jsonFile != "" {
+		if err := cliutil.WriteFile(o.jsonFile, func(w io.Writer) error { return trace.SaveTemporal(w, res.Temporal) }); err != nil {
+			return fmt.Errorf("-json: %w", err)
+		}
+	}
 	if o.svgFile != "" {
-		svg := plot.Heatmap(prof, plot.SortLanesByFirstActivity(prof, names), plot.Options{
-			Title:        fmt.Sprintf("tQUAD %s bandwidth (%s)", o.metric, o.stack+" stack"),
-			Reads:        o.metric != "writes",
-			IncludeStack: o.includeStack,
-		})
-		if err := os.WriteFile(o.svgFile, []byte(svg), 0o644); err != nil {
+		svg := study.Heatmap(res.Temporal, o.render)
+		if err := cliutil.WriteFile(o.svgFile, func(w io.Writer) error {
+			_, err := io.WriteString(w, svg)
 			return err
+		}); err != nil {
+			return fmt.Errorf("-svg: %w", err)
 		}
 		fmt.Printf("heatmap written to %s\n", o.svgFile)
 	}
-	fmt.Printf("tQUAD (replay of %s): %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
-		path, prof.TotalInstr, prof.NumSlices, prof.SliceInterval,
-		float64(host.Time())/float64(prof.TotalInstr))
-
+	study.WriteRunHeader(os.Stdout, label, res)
 	if o.csv {
-		emitCSV(prof, names, o.metric, o.includeStack)
-	} else {
-		study.WriteCharts(os.Stdout, prof, names, study.RenderOptions{
-			Metric: o.metric, Width: o.width, IncludeStack: o.includeStack,
-		})
-		fmt.Print(study.SummaryTable(prof, names, o.includeStack))
-		if memTool != nil {
-			study.WriteMemSection(os.Stdout, memTool.Snapshot(), names, o.width)
-		}
-		fmt.Println()
-		fmt.Print(tool.Breakdown().String())
+		emitCSV(res.Temporal, study.KernelSet(o.render.Kernels, res.Temporal), o.render.Metric, o.render.IncludeStack)
+		return nil
 	}
-	reportSpan.End()
-	run.End()
-	if ob != nil {
-		host.PublishMetrics(ob.Metrics)
-		tool.PublishMetrics(ob.Metrics)
-		if memTool != nil {
-			memTool.PublishMetrics(ob.Metrics)
-		}
-		if prof.TotalInstr > 0 {
-			ob.Metrics.Gauge("tquad_run_slowdown").Set(float64(host.Time()) / float64(prof.TotalInstr))
-		}
-		if err := ob.WriteFiles(o.metricsOut, o.traceOut, o.journalOut); err != nil {
-			return err
-		}
-	}
+	study.WriteRunBody(os.Stdout, res, o.render)
 	return nil
 }
 
-// supervision bundles the sweep's resilience and telemetry settings.
-type supervision struct {
-	ctx       context.Context
-	retries   int
-	resume    string
-	budget    uint64
-	interpret  bool // run guests on the reference interpreter (-engine=step)
-	replayJobs int  // decode workers for batched sweep replays
-
-	// Live telemetry (all nil unless -serve): the observer whose registry
-	// the server exposes, the tracker receiving lifecycle events, and the
-	// chart accumulating completed-run bandwidth.
-	obs    *obs.Observer
-	events *live.Tracker
-	chart  *live.ChartData
-}
-
-// runSweep executes one tQUAD run per interval×hierarchy combination
-// through the parallel scheduler and prints each run's output in sweep
-// order.  In replay mode (the scheduler default) the whole sweep shares
-// one recorded guest execution, however many hierarchies it compares.
-func runSweep(cfg wfs.Config, intervals []uint64, caches []memsim.Config, includeStack, ignoreLibs bool, jobs int, metric, kernels string, width int, sup supervision) error {
-	s, err := study.NewObserved(cfg, sup.obs)
-	if err != nil {
+// finish publishes the slowdown gauge (the slowest run's), writes the
+// -metrics/-trace/-journal exports and, outside -csv, closes the report
+// with the pipeline-stage and block-engine tables.  A no-op without an
+// observer.
+func (o *options) finish(results []*study.RunResult) error {
+	if o.obs == nil {
+		return nil
+	}
+	var slowdown float64
+	for _, res := range results {
+		if res.Temporal.TotalInstr > 0 {
+			slowdown = max(slowdown, float64(res.Time)/float64(res.Temporal.TotalInstr))
+		}
+	}
+	o.obs.Metrics.Gauge("tquad_run_slowdown").Set(slowdown)
+	if err := o.obs.WriteFiles(o.metricsOut, o.traceOut, o.journalOut); err != nil {
 		return err
 	}
-	s.W.Interpret = sup.interpret
-	sch := study.NewScheduler(s, jobs)
-	defer sch.Close()
-	sch.SetContext(sup.ctx)
-	sch.SetRetries(sup.retries)
-	sch.SetMaxInstr(sup.budget)
-	sch.SetReplayJobs(sup.replayJobs)
-	if sup.events != nil {
-		sch.SetEvents(sup.events)
+	if o.csv {
+		return nil
 	}
-	if sup.resume != "" {
-		ck, err := study.OpenCheckpoint(sup.resume)
-		if err != nil {
-			return err
-		}
-		defer ck.Close()
-		sch.SetCheckpoint(ck)
-		if done := len(ck.Completed()); done > 0 {
-			log.Printf("resuming: %d run(s) already completed in %s", done, sup.resume)
-		}
+	fmt.Println()
+	fmt.Print("pipeline stages:\n" + study.RenderSpans(o.obs.Spans))
+	if blocks := study.RenderBlockEngine(o.obs.Metrics); blocks != "" {
+		fmt.Println()
+		fmt.Print("block execution engine:\n" + blocks)
 	}
-	resolved := make([]uint64, len(intervals))
-	for i, iv := range intervals {
-		if iv == 0 {
-			if iv, err = sch.SliceForCount(64); err != nil {
-				return err
-			}
-		}
-		resolved[i] = iv
-	}
-	cacheKeys := []string{""}
-	if len(caches) > 0 {
-		cacheKeys = cacheKeys[:0]
-		for _, c := range caches {
-			cacheKeys = append(cacheKeys, c.Key())
-		}
-	}
-	pend := make([]*study.Pending, 0, len(resolved)*len(cacheKeys))
-	for _, iv := range resolved {
-		for _, ck := range cacheKeys {
-			pend = append(pend, sch.Submit(study.RunConfig{
-				Kind:          study.RunTQUAD,
-				SliceInterval: iv,
-				IncludeStack:  includeStack,
-				ExcludeLibs:   ignoreLibs,
-				Cache:         ck,
-			}))
-		}
-	}
-	// Drain the sweep before printing: any failure means a non-zero exit
-	// with no partial output.
-	if errs := sch.Flush(); len(errs) > 0 {
-		for _, e := range errs {
-			log.Print(e)
-		}
-		return fmt.Errorf("%d of %d runs failed", len(errs), len(pend))
-	}
-	results := make([]*study.RunResult, 0, len(pend))
-	for _, p := range pend {
-		res, err := p.Wait()
-		if err != nil {
-			return err
-		}
-		sup.chart.Add(res.Key, study.EffectiveBandwidth(res.Temporal))
-		results = append(results, res)
-	}
-	study.WriteSweepReport(os.Stdout, results, resolved, len(caches) > 1, study.RenderOptions{
-		Metric: metric, Kernels: kernels, Width: width, IncludeStack: includeStack,
-	})
 	return nil
 }
 
@@ -771,26 +564,24 @@ func parseSlices(s string) ([]uint64, error) {
 		func(iv uint64) string { return strconv.FormatUint(iv, 10) })
 }
 
-// parseCaches parses the -cache flag: a semicolon-separated list of
-// hierarchy descriptions (levels within one hierarchy are
-// comma-separated, so the list separator must differ).  Hierarchies that
-// canonicalise to the same geometry collapse to one run.  An empty flag
-// leaves the simulator detached.
-func parseCaches(s string) ([]memsim.Config, error) {
+// parseCaches parses the -cache flag into canonical hierarchy keys: a
+// semicolon-separated list of hierarchy descriptions (levels within one
+// hierarchy are comma-separated, so the list separator must differ).
+// Hierarchies that canonicalise to the same geometry collapse to one
+// run.  An empty flag leaves the simulator detached.
+func parseCaches(s string) ([]string, error) {
 	if s == "" {
 		return nil, nil
 	}
-	return cliutil.ParseList("-cache", s, ";", memsim.ParseConfig, memsim.Config.Key)
-}
-
-func pickConfig(name string) (wfs.Config, error) {
-	switch name {
-	case "small":
-		return wfs.Small(), nil
-	case "study":
-		return wfs.Study(), nil
-	}
-	return wfs.Config{}, fmt.Errorf("unknown config %q (want small or study)", name)
+	return cliutil.ParseList("-cache", s, ";",
+		func(part string) (string, error) {
+			c, err := memsim.ParseConfig(part)
+			if err != nil {
+				return "", err
+			}
+			return c.Key(), nil
+		},
+		func(key string) string { return key })
 }
 
 func emitCSV(prof *core.Profile, names []string, metric string, includeStack bool) {

@@ -24,7 +24,9 @@
 // the guest once.  Rendering happens only after the whole sweep has
 // drained — if any experiment fails, each failure is reported and the
 // command exits non-zero without printing partial tables.  Output is
-// byte-identical for every -jobs value.
+// byte-identical for every -jobs value.  Tables I–IV come from the
+// study package's Table I–IV run set — the same runs a jobd job renders
+// as tables.txt — and every flag applies to the whole sweep.
 //
 // The sweep is supervised: SIGINT/SIGTERM (and the -timeout deadline)
 // cancel it cleanly — in-flight guests stop at their next basic block,
@@ -141,14 +143,9 @@ func main() {
 }
 
 func run(ctx context.Context, config string, opt options) error {
-	var cfg wfs.Config
-	switch config {
-	case "small":
-		cfg = wfs.Small()
-	case "study":
-		cfg = wfs.Study()
-	default:
-		return fmt.Errorf("unknown config %q", config)
+	cfg, err := wfs.ConfigByName(config)
+	if err != nil {
+		return err
 	}
 	if opt.timeout > 0 {
 		var cancel context.CancelFunc
@@ -230,13 +227,9 @@ func run(ctx context.Context, config string, opt options) error {
 		return err
 	}
 
-	pFlat := sch.Submit(study.RunConfig{Kind: study.RunFlat})
-	pQuadEx := sch.Submit(study.RunConfig{Kind: study.RunQUAD, IncludeStack: false})
-	pQuadIn := sch.Submit(study.RunConfig{Kind: study.RunQUAD, IncludeStack: true})
-	pInstr := sch.Submit(study.RunConfig{Kind: study.RunInstrFlat})
+	pTables := sch.SubmitTables()
 	pFig6 := sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: iv64, IncludeStack: true})
 	pFig7 := sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: iv256, IncludeStack: true})
-	pPhases := sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 5000, IncludeStack: true})
 
 	// The memory-hierarchy study: every requested geometry simulated over
 	// the Figure 6 run, plus the first geometry at the phase interval for
@@ -251,7 +244,7 @@ func run(ctx context.Context, config string, opt options) error {
 	var pPhaseCache *study.Pending
 	if len(opt.caches) > 0 {
 		pPhaseCache = sch.Submit(study.RunConfig{
-			Kind: study.RunTQUAD, SliceInterval: 5000, IncludeStack: true, Cache: opt.caches[0].Key(),
+			Kind: study.RunTQUAD, SliceInterval: study.PhaseInterval, IncludeStack: true, Cache: opt.caches[0].Key(),
 		})
 	}
 
@@ -272,19 +265,7 @@ func run(ctx context.Context, config string, opt options) error {
 	}
 
 	// The sweep is complete; every Wait below returns instantly.
-	flatRes, err := pFlat.Wait()
-	if err != nil {
-		return err
-	}
-	quadExRes, err := pQuadEx.Wait()
-	if err != nil {
-		return err
-	}
-	quadInRes, err := pQuadIn.Wait()
-	if err != nil {
-		return err
-	}
-	instrRes, err := pInstr.Wait()
+	tables, err := pTables.Wait()
 	if err != nil {
 		return err
 	}
@@ -296,13 +277,9 @@ func run(ctx context.Context, config string, opt options) error {
 	if err != nil {
 		return err
 	}
-	phasesRes, err := pPhases.Wait()
-	if err != nil {
-		return err
-	}
 	// The temporal runs feed the live bandwidth chart (no-ops when
 	// -serve is unset and chart is nil).
-	for _, res := range []*study.RunResult{fig6Res, fig7Res, phasesRes} {
+	for _, res := range []*study.RunResult{fig6Res, fig7Res, tables.Phases} {
 		chart.Add(res.Key, study.EffectiveBandwidth(res.Temporal))
 	}
 	memProfs := make([]*memsim.Profile, len(pCaches))
@@ -330,15 +307,15 @@ func run(ctx context.Context, config string, opt options) error {
 
 	fmt.Println("### Table I — flat profile (gprof analogue)")
 	fmt.Println()
-	fmt.Println(study.RenderTableI(flatRes.Flat))
+	fmt.Println(study.RenderTableI(tables.Flat.Flat))
 
 	fmt.Println("### Table II — QUAD producer/consumer summary")
 	fmt.Println()
-	fmt.Println(study.RenderTableII(quadExRes.Quad, quadInRes.Quad))
+	fmt.Println(study.RenderTableII(tables.QUADExcl.Quad, tables.QUADIncl.Quad))
 
 	fmt.Println("### Table III — flat profile of the QUAD-instrumented run")
 	fmt.Println()
-	fmt.Println(study.RenderTableIII(flatRes.Flat, instrRes.Flat))
+	fmt.Println(study.RenderTableIII(tables.Flat.Flat, tables.InstrFlat.Flat))
 
 	fmt.Printf("### Figure 6 — reads, stack included, %d slices (slowdown %.1fx)\n\n",
 		fig6Res.Temporal.NumSlices, float64(fig6Res.Time)/float64(fig6Res.Temporal.TotalInstr))
@@ -353,11 +330,12 @@ func run(ctx context.Context, config string, opt options) error {
 	fmt.Println("```")
 	fmt.Println()
 
-	phases := s.PhasesFromProfile(phasesRes.Temporal)
-	fmt.Printf("### Table IV — %d phases over %d slices of 5000 instructions\n\n",
-		len(phases), phasesRes.Temporal.NumSlices)
+	fine := tables.Phases.Temporal
+	phases := s.PhasesFromProfile(fine)
+	fmt.Printf("### Table IV — %d phases over %d slices of %d instructions\n\n",
+		len(phases), fine.NumSlices, study.PhaseInterval)
 	fmt.Println("```")
-	fmt.Print(study.RenderTableIV(phases, phasesRes.Temporal.NumSlices))
+	fmt.Print(study.RenderTableIV(phases, fine.NumSlices))
 	fmt.Println("```")
 
 	if len(memProfs) > 0 {
@@ -381,7 +359,7 @@ func run(ctx context.Context, config string, opt options) error {
 	fmt.Println(study.RenderSlowdown(rows))
 
 	// Task clustering (the paper's stated consumer of these results).
-	res := cluster.Build(phasesRes.Temporal, quadInRes.Quad, cluster.Options{TargetClusters: 5, IncludeStack: true})
+	res := cluster.Build(fine, tables.QUADIncl.Quad, cluster.Options{TargetClusters: 5, IncludeStack: true})
 	fmt.Println("### Outlook — kernel clustering for task partitioning")
 	fmt.Println()
 	for i, c := range res.Clusters {

@@ -1,12 +1,14 @@
-// Package cliutil holds the small flag-parsing helpers shared by the
-// command-line tools.  The sweep flags (-slice, -cache) all accept a
-// separator-delimited list of values; the splitting, trimming,
-// empty-element rejection and order-preserving deduplication grew ad hoc
-// per command, so the one canonical implementation lives here.
+// Package cliutil holds the small flag-parsing and output-file helpers
+// shared by the command-line tools.  The sweep flags (-slice, -cache)
+// all accept a separator-delimited list of values; the splitting,
+// trimming, empty-element rejection and order-preserving deduplication
+// grew ad hoc per command, so the one canonical implementation lives
+// here, as does the one writer that never leaves a partial output file.
 package cliutil
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -66,6 +68,34 @@ func EnsureWritableAll(pairs ...string) error {
 		if err := EnsureWritable(pairs[i], pairs[i+1]); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// WriteFile creates the file at path and fills it through write.  A
+// failed write or Close (where a deferred write error surfaces) removes
+// the partial file, so a truncated output never passes for a complete
+// one; a non-regular path such as /dev/stdout is left alone.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return writeClose(path, f, write)
+}
+
+// writeClose is WriteFile after the create: write to w, close it, and
+// clean up the file at path on any failure.
+func writeClose(path string, w io.WriteCloser, write func(io.Writer) error) error {
+	err := write(w)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		if fi, serr := os.Lstat(path); serr == nil && fi.Mode().IsRegular() {
+			os.Remove(path)
+		}
+		return fmt.Errorf("write %s: %w", path, err)
 	}
 	return nil
 }

@@ -30,6 +30,11 @@ func terminal(state string) bool {
 	return state == StateSucceeded || state == StateFailed || state == StateCanceled
 }
 
+// maxGridRuns bounds a job's slice×cache grid.  Every run writes a
+// profile and a heatmap artifact, so without a bound one spec body could
+// ask for ~100k runs.
+const maxGridRuns = 256
+
 // JobSpec is one submitted sweep: the guest workload plus the
 // -slice/-cache/engine configuration grid cmd/tquad would run.  The
 // zero value of every optional field selects the cmd/tquad default.
@@ -107,6 +112,10 @@ func (s *JobSpec) normalize() error {
 		}
 		s.Caches = keys
 	}
+	if runs := len(s.Slices) * max(len(s.Caches), 1); runs > maxGridRuns {
+		return fmt.Errorf("jobd: %d slices x %d caches is %d runs; a job may run at most %d",
+			len(s.Slices), len(s.Caches), runs, maxGridRuns)
+	}
 	switch s.Stack {
 	case "":
 		s.Stack = "include"
@@ -149,13 +158,11 @@ func (s *JobSpec) normalize() error {
 
 // wfsConfig resolves the spec's workload configuration.
 func (s *JobSpec) wfsConfig() (wfs.Config, error) {
-	switch s.Config {
-	case "small":
-		return wfs.Small(), nil
-	case "study":
-		return wfs.Study(), nil
+	cfg, err := wfs.ConfigByName(s.Config)
+	if err != nil {
+		return wfs.Config{}, fmt.Errorf("jobd: %w", err)
 	}
-	return wfs.Config{}, fmt.Errorf("jobd: unknown config %q (want small or study)", s.Config)
+	return cfg, nil
 }
 
 // includeStack is the Stack word as the bool the run configs take.

@@ -180,11 +180,15 @@ func (d *Daemon) Submit(spec JobSpec) (Job, error) {
 // immediately; running jobs stop at the guest's next basic block.
 func (d *Daemon) Cancel(id string) error {
 	d.mu.Lock()
+	// A job stays registered as running for a moment after its outcome
+	// is journalled; by then it is terminal and nothing is left to cancel.
 	if rj := d.running[id]; rj != nil {
-		rj.userCancel.Store(true)
-		rj.cancel()
-		d.mu.Unlock()
-		return nil
+		if j, _ := d.store.Get(id); !terminal(j.State) {
+			rj.userCancel.Store(true)
+			rj.cancel()
+			d.mu.Unlock()
+			return nil
+		}
 	}
 	for i, qid := range d.queue {
 		if qid == id {
@@ -397,42 +401,16 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 	defer ck.Close()
 	sch.SetCheckpoint(ck)
 
-	// Resolve the interval grid exactly like cmd/tquad (-slice 0 sizes
-	// for ~64 slices off the native count, itself replayed cheaply).
-	resolved := make([]uint64, len(spec.Slices))
-	for i, iv := range spec.Slices {
-		if iv == 0 {
-			if iv, err = sch.SliceForCount(64); err != nil {
-				return nil, sch.GuestExecutions(), err
-			}
-		}
-		resolved[i] = iv
+	// The same grid cmd/tquad submits for these knobs; the Table I–IV
+	// set rides the same recorded execution — four more replays plus one
+	// fine-sliced profile, no extra guest work.
+	grid, err := sch.SubmitGrid(spec.Slices, spec.Caches, spec.includeStack(), spec.IgnoreLibs)
+	if err != nil {
+		return nil, sch.GuestExecutions(), err
 	}
-	cacheKeys := []string{""}
-	if len(spec.Caches) > 0 {
-		cacheKeys = spec.Caches
-	}
-	pend := make([]*study.Pending, 0, len(resolved)*len(cacheKeys))
-	for _, iv := range resolved {
-		for _, cacheKey := range cacheKeys {
-			pend = append(pend, sch.Submit(study.RunConfig{
-				Kind:          study.RunTQUAD,
-				SliceInterval: iv,
-				IncludeStack:  spec.includeStack(),
-				ExcludeLibs:   spec.IgnoreLibs,
-				Cache:         cacheKey,
-			}))
-		}
-	}
-	// The Table I–IV report rides the same recorded execution: four more
-	// replays plus one fine-sliced profile, no extra guest work.
-	var pFlat, pQuadEx, pQuadIn, pInstr, pPhases *study.Pending
+	var tables *study.PendingTables
 	if !spec.SkipTables {
-		pFlat = sch.Submit(study.RunConfig{Kind: study.RunFlat})
-		pQuadEx = sch.Submit(study.RunConfig{Kind: study.RunQUAD, IncludeStack: false})
-		pQuadIn = sch.Submit(study.RunConfig{Kind: study.RunQUAD, IncludeStack: true})
-		pInstr = sch.Submit(study.RunConfig{Kind: study.RunInstrFlat})
-		pPhases = sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 5000, IncludeStack: true})
+		tables = sch.SubmitTables()
 	}
 
 	if errs := sch.Flush(); len(errs) > 0 {
@@ -441,16 +419,11 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 			return nil, guest, fmt.Errorf("jobd: job %s: %w", job.ID, cerr)
 		}
 		return nil, guest, fmt.Errorf("jobd: job %s: %d of %d runs failed: %w",
-			job.ID, len(errs), len(pend), errors.Join(errs...))
+			job.ID, len(errs), grid.Len(), errors.Join(errs...))
 	}
-
-	results := make([]*study.RunResult, 0, len(pend))
-	for _, p := range pend {
-		res, err := p.Wait()
-		if err != nil {
-			return nil, sch.GuestExecutions(), err
-		}
-		results = append(results, res)
+	results, err := grid.Results()
+	if err != nil {
+		return nil, sch.GuestExecutions(), err
 	}
 
 	var arts []Artifact
@@ -469,7 +442,7 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 		Width: spec.Width, IncludeStack: spec.includeStack(),
 	}
 	var buf bytes.Buffer
-	study.WriteSweepReport(&buf, results, resolved, len(spec.Caches) > 1, opt)
+	grid.WriteReport(&buf, results, opt)
 	if err := add(d.art.PutBytes("report.txt", buf.Bytes())); err != nil {
 		return nil, sch.GuestExecutions(), err
 	}
@@ -480,12 +453,7 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 	for _, res := range results {
 		bars = append(bars, plot.Bar{Label: res.Key, Value: study.EffectiveBandwidth(res.Temporal)})
 		frag := safeName(res.Key)
-		names := study.KernelSet(spec.Kernels, res.Temporal)
-		svg := plot.Heatmap(res.Temporal, plot.SortLanesByFirstActivity(res.Temporal, names), plot.Options{
-			Title:        fmt.Sprintf("tQUAD %s bandwidth (%s stack)", spec.Metric, spec.Stack),
-			Reads:        spec.Metric != "writes",
-			IncludeStack: spec.includeStack(),
-		})
+		svg := study.Heatmap(res.Temporal, opt)
 		if err := add(d.art.PutBytes("heatmap-"+frag+".svg", []byte(svg))); err != nil {
 			return nil, sch.GuestExecutions(), err
 		}
@@ -502,12 +470,14 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 		return nil, sch.GuestExecutions(), err
 	}
 
-	if !spec.SkipTables {
-		tbl, err := renderTables(s, pFlat, pQuadEx, pQuadIn, pInstr, pPhases)
+	if tables != nil {
+		t, err := tables.Wait()
 		if err != nil {
 			return nil, sch.GuestExecutions(), err
 		}
-		if err := add(d.art.PutBytes("tables.txt", tbl)); err != nil {
+		buf.Reset()
+		s.WriteTables(&buf, t)
+		if err := add(d.art.PutBytes("tables.txt", buf.Bytes())); err != nil {
 			return nil, sch.GuestExecutions(), err
 		}
 	}
@@ -520,37 +490,4 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 		}
 	}
 	return arts, sch.GuestExecutions(), nil
-}
-
-// renderTables renders the Table I–IV report artifact (the wfsstudy
-// table set) from the already-completed runs.
-func renderTables(s *study.Study, pFlat, pQuadEx, pQuadIn, pInstr, pPhases *study.Pending) ([]byte, error) {
-	flatRes, err := pFlat.Wait()
-	if err != nil {
-		return nil, err
-	}
-	quadExRes, err := pQuadEx.Wait()
-	if err != nil {
-		return nil, err
-	}
-	quadInRes, err := pQuadIn.Wait()
-	if err != nil {
-		return nil, err
-	}
-	instrRes, err := pInstr.Wait()
-	if err != nil {
-		return nil, err
-	}
-	phasesRes, err := pPhases.Wait()
-	if err != nil {
-		return nil, err
-	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "### Table I — flat profile (gprof analogue)\n\n%s\n", study.RenderTableI(flatRes.Flat))
-	fmt.Fprintf(&b, "### Table II — QUAD producer/consumer summary\n\n%s\n", study.RenderTableII(quadExRes.Quad, quadInRes.Quad))
-	fmt.Fprintf(&b, "### Table III — flat profile of the QUAD-instrumented run\n\n%s\n", study.RenderTableIII(flatRes.Flat, instrRes.Flat))
-	phases := s.PhasesFromProfile(phasesRes.Temporal)
-	fmt.Fprintf(&b, "### Table IV — %d phases over %d slices of 5000 instructions\n\n%s",
-		len(phases), phasesRes.Temporal.NumSlices, study.RenderTableIV(phases, phasesRes.Temporal.NumSlices))
-	return b.Bytes(), nil
 }

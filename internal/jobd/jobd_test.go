@@ -3,11 +3,13 @@ package jobd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -320,4 +322,85 @@ func TestSubmitRejectsOversizedBody(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad small spec: status %d, want 400", rec.Code)
 	}
+}
+
+// TestSubmitRejectsOversizedGrid: a spec whose slice×cache grid exceeds
+// the run bound is refused with 400 and journals nothing, while a grid
+// exactly at the bound normalises.
+func TestSubmitRejectsOversizedGrid(t *testing.T) {
+	at := JobSpec{Caches: []string{"l1=1k/2/64", "l1=2k/2/64"}}
+	for i := 0; i < maxGridRuns/2; i++ {
+		at.Slices = append(at.Slices, uint64(1000+i))
+	}
+	if err := at.normalize(); err != nil {
+		t.Fatalf("grid of %d runs: %v", maxGridRuns, err)
+	}
+
+	d, err := New(Options{DataDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	h := (&Server{d: d}).mux()
+	slices := make([]string, maxGridRuns/2+1)
+	for i := range slices {
+		slices[i] = strconv.Itoa(1000 + i)
+	}
+	body := `{"config":"small","skip_tables":true,"caches":["l1=1k/2/64","l1=2k/2/64"],"slices":[` +
+		strings.Join(slices, ",") + `]}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "at most") {
+		t.Fatalf("oversized grid: status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized grid was journalled: %+v", jobs)
+	}
+}
+
+// FuzzJobSpec: decoding a spec body the way POST /api/jobs does and
+// normalising it never panics, normalisation is idempotent (the
+// journalled spec is already canonical), and no accepted spec exceeds
+// the grid bound.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"config":"small","slices":[200000,400000],"skip_tables":true}`,
+		`{"config":"study","slices":[0,0,5000],"caches":["l1=32k/8/64","l1=32768/8/64,l2=256k/8/64"]}`,
+		`{"stack":"exclude","engine":"step","metric":"both","kernels":"all","width":80,"retries":2}`,
+		`{"caches":["l1=1k/2/64;l1=2k/2/64"],"max_icount":1}`,
+		`{"width":-1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			return
+		}
+		if err := spec.normalize(); err != nil {
+			return
+		}
+		if runs := len(spec.Slices) * max(len(spec.Caches), 1); runs > maxGridRuns {
+			t.Fatalf("accepted a grid of %d runs: %+v", runs, spec)
+		}
+		// Compare journal forms: the second pass starts from the spec as
+		// the journal would hand it back.
+		first, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again JobSpec
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatal(err)
+		}
+		if err := again.normalize(); err != nil {
+			t.Fatalf("normalised spec rejected on second pass: %v\n%s", err, first)
+		}
+		if second, _ := json.Marshal(again); !bytes.Equal(first, second) {
+			t.Fatalf("normalize not idempotent:\nfirst  %s\nsecond %s", first, second)
+		}
+	})
 }

@@ -1,9 +1,9 @@
-// CLI-style run report rendering, shared by cmd/tquad (stdout) and the
-// jobd daemon (the report.txt artifact).  Extracted from cmd/tquad
-// verbatim: the golden tests pin cmd/tquad's sweep output byte for
-// byte, and the daemon smoke test asserts its report artifact matches
-// the same sweep run through cmd/tquad — both hold because this is the
-// single implementation.
+// CLI-style run report rendering, shared by cmd/tquad (stdout, live
+// and -replay) and the jobd daemon (the report.txt artifact).  The
+// golden tests pin cmd/tquad's output byte for byte, and the daemon
+// smoke test asserts its report artifact matches the same sweep run
+// through cmd/tquad — both hold because this is the single
+// implementation.
 package study
 
 import (
@@ -13,6 +13,7 @@ import (
 
 	"tquad/internal/core"
 	"tquad/internal/memsim"
+	"tquad/internal/plot"
 	"tquad/internal/report"
 	"tquad/internal/wfs"
 )
@@ -110,14 +111,27 @@ func WriteMemSection(w io.Writer, mp *memsim.Profile, names []string, width int)
 	io.WriteString(w, mp.String())
 }
 
-// WriteRunReport writes one tQUAD run's report block: the header line,
-// the charts, the kernel statistics, the memory-hierarchy section when
-// the run simulated one, and the overhead breakdown.
+// WriteRunReport writes one tQUAD run's report block: the "tQUAD"
+// header line and the run body.
 func WriteRunReport(w io.Writer, res *RunResult, opt RenderOptions) {
+	WriteRunHeader(w, "tQUAD", res)
+	WriteRunBody(w, res, opt)
+}
+
+// WriteRunHeader writes a tQUAD run's header line — instruction and
+// slice counts and the slowdown — under label, then a blank line.
+func WriteRunHeader(w io.Writer, label string, res *RunResult) {
 	prof := res.Temporal
-	fmt.Fprintf(w, "tQUAD: %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
-		prof.TotalInstr, prof.NumSlices, prof.SliceInterval,
+	fmt.Fprintf(w, "%s: %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
+		label, prof.TotalInstr, prof.NumSlices, prof.SliceInterval,
 		float64(res.Time)/float64(prof.TotalInstr))
+}
+
+// WriteRunBody writes a tQUAD run's report below its header: the
+// charts, the kernel statistics, the memory-hierarchy section when the
+// run simulated one, and the overhead breakdown.
+func WriteRunBody(w io.Writer, res *RunResult, opt RenderOptions) {
+	prof := res.Temporal
 	names := KernelSet(opt.Kernels, prof)
 	WriteCharts(w, prof, names, opt)
 	io.WriteString(w, SummaryTable(prof, names, opt.IncludeStack))
@@ -126,6 +140,18 @@ func WriteRunReport(w io.Writer, res *RunResult, opt RenderOptions) {
 	}
 	fmt.Fprintln(w)
 	io.WriteString(w, res.Breakdown.String())
+}
+
+// Heatmap renders a tQUAD profile's bandwidth heatmap (the paper's
+// figure) as SVG: the selected kernels as lanes in order of first
+// activity, shaded by the charted metric.
+func Heatmap(prof *core.Profile, opt RenderOptions) string {
+	names := KernelSet(opt.Kernels, prof)
+	return plot.Heatmap(prof, plot.SortLanesByFirstActivity(prof, names), plot.Options{
+		Title:        fmt.Sprintf("tQUAD %s bandwidth (%s stack)", opt.Metric, stackWord(opt.IncludeStack)),
+		Reads:        opt.Metric != "writes",
+		IncludeStack: opt.IncludeStack,
+	})
 }
 
 // WriteSweepReport writes a whole sweep's report: each run's block in

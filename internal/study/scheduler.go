@@ -680,11 +680,7 @@ func (sc *Scheduler) SliceForCount(slices uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	iv := ic / slices
-	if iv == 0 {
-		iv = 1
-	}
-	return iv, nil
+	return sliceInterval(ic, slices), nil
 }
 
 // Flush waits for every submitted run and folds each run's private

@@ -168,11 +168,7 @@ func (s *Study) SliceForCount(slices uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	iv := ic / slices
-	if iv == 0 {
-		iv = 1
-	}
-	return iv, nil
+	return sliceInterval(ic, slices), nil
 }
 
 // Phases reproduces Table IV: a fine-sliced tQUAD run followed by phase

@@ -68,6 +68,18 @@ func Study() Config {
 	}
 }
 
+// ConfigByName resolves a configuration by the name the commands and
+// the job daemon accept: "small" or "study".
+func ConfigByName(name string) (Config, error) {
+	switch name {
+	case "small":
+		return Small(), nil
+	case "study":
+		return Study(), nil
+	}
+	return Config{}, fmt.Errorf("unknown config %q (want small or study)", name)
+}
+
 // Validate checks structural invariants the generated code relies on.
 func (c Config) Validate() error {
 	switch {
